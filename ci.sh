@@ -118,6 +118,21 @@ grep -q '"ev":"posture_change"' target/adaptive_a.jsonl
 # No-flap leg: a stationary clean wire must never fire a directive.
 $soak --loopback --seed 7 --intervals 120 --buffers 1 --flood 0 \
     --copies 1 --adaptive --assert-posture-stable > /dev/null
+# Saturated leg: a 0.95 flood from interval zero on one buffer makes
+# the first evidence sample all-forged (p-hat = 1000 permille). The
+# run must finish cleanly and narrate the give-up posture.
+$soak --loopback --adaptive --flood 0.95 --buffers 1 \
+    --trace-out target/adaptive_saturated.jsonl > /dev/null
+grep '"ev":"posture_change"' target/adaptive_saturated.jsonl \
+    | grep -q '"give_up":true'
+
+echo "== posture table (exhaustive Algorithm-3 agreement) =="
+# DESIGN §13: the control plane reads m* from a committed breakpoint
+# table. Re-solve every p in 0..=999 permille with exact Algorithm 3
+# and compare each answer to the lookup; 1000 permille must read
+# give-up. Exits 1 on any mismatch.
+cargo run --release --offline -q -p dap-bench --bin posture_table \
+    > target/posture_table.txt
 
 echo "== daptrace gate (forensic audit of the captured traces) =="
 # DESIGN §14: the audit engine replays every capture the gates above
@@ -143,8 +158,9 @@ grep -q 'attack onset' target/report_a.txt
 # The overload capture audits clean under its pinned-floor posture —
 # --pin-first mirrors the soak flags, arming the pin-respected rule.
 $daptrace audit --pin-first 8 target/overload_a.jsonl > /dev/null
-# The adaptive capture's posture epochs are monotone end to end.
+# The adaptive captures' posture epochs are monotone end to end.
 $daptrace audit target/adaptive_a.jsonl > /dev/null
+$daptrace audit target/adaptive_saturated.jsonl > /dev/null
 # A tampered capture must be rejected with a nonzero exit.
 sed 's/"ev":"verify_end"/"ev":"verify_end_forged"/' \
     target/net_trace_a.jsonl > target/net_trace_tampered.jsonl

@@ -16,10 +16,10 @@
 //!    probability `P = 1 − p^m` (Algorithm 2, [`receiver`];
 //!    analytic forms in [`analysis`]).
 //!
-//! On top, [`adaptive`] implements the paper's evolutionary-game answer
-//! to "how many buffers?": estimate the attack level, solve the game from
-//! [`dap_game`], and re-provision `m` (giving up on extra buffers when
-//! the channel is nearly jammed — the `(X′, 1)` regime).
+//! The paper's evolutionary-game answer to "how many buffers?" (§V)
+//! runs live in `dap-net`'s control plane, which estimates the attack
+//! level, reads `m*` from [`dap_game`]'s posture table and re-provisions
+//! receivers through a [`PostureDirective`] ([`posture`]).
 //!
 //! [`sim`] provides [`dap_simnet`] node adapters so whole crowdsensing
 //! campaigns run in simulation; the workspace's examples and benches are
@@ -28,18 +28,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod analysis;
 pub mod codec;
 pub mod memory;
 pub mod multi;
+pub mod posture;
 pub mod receiver;
 pub mod sender;
 pub mod sim;
 pub mod wire;
 
-pub use adaptive::{AdaptiveConfig, AdaptiveController, DefensePolicy, PostureDirective};
 pub use multi::{DapMultiReceiver, SenderId};
+pub use posture::PostureDirective;
 pub use receiver::{AnnounceOutcome, DapReceiver, DapStats, RevealOutcome, RevealPrecompute};
 pub use sender::{DapBootstrap, DapSender};
 pub use wire::{Announce, DapMessage, DapParams, Reveal};

@@ -28,8 +28,9 @@
 //! * [`cost`] — the defender cost `E` and the naive-defense cost `N`;
 //! * [`optimize`] — Algorithm 3 (optimal `m`), exact argmin and the
 //!   paper-literal transcription;
-//! * [`online`] — Algorithm 3 as a no-alloc, step-bounded control-loop
-//!   step for the live `dap-net` control plane.
+//! * [`posture`] — Algorithm 3's runtime answer for the live `dap-net`
+//!   control plane: a committed breakpoint table over `p̂` in permille,
+//!   generated and checked by exact Algorithm 3.
 //!
 //! # Example — reproduce a Fig. 6 regime
 //!
@@ -50,9 +51,9 @@ pub mod bimatrix;
 pub mod cost;
 pub mod dynamics;
 pub mod ess;
-pub mod online;
 pub mod optimize;
 pub mod payoff;
+pub mod posture;
 pub mod state;
 
 pub use bimatrix::ConstantBimatrix;
@@ -60,7 +61,7 @@ pub use dynamics::{
     EulerIntegrator, ReplicatorField, Rk4Integrator, Trajectory, TwoPopulationGame,
 };
 pub use ess::{EssKind, EssOutcome};
-pub use online::{solve_posture, solve_posture_permille, OnlinePosture};
 pub use optimize::{optimal_buffer_count, OptimalBuffer};
 pub use payoff::{DosGame, DosGameParams, PayoffMatrix};
+pub use posture::{posture_for_permille, Posture};
 pub use state::PopulationState;

@@ -1,55 +1,38 @@
 //! `dapd` — DAP on a wire.
 //!
-//! One binary, five modes:
+//! One binary, five modes; `dapd --help` prints every option:
+//!
+//! * `--loopback` — a deterministic in-process campaign (the ci.sh soak
+//!   gate);
+//! * `--fleet` — a deterministic fleet campaign (the ci.sh fleet gate):
+//!   N tagged senders, per-sender spoofing flood, session-table shards;
+//! * `--role receiver | sender | flooder` — real UDP, one role per
+//!   terminal:
 //!
 //! ```text
-//! # Deterministic in-process campaign (the ci.sh soak gate):
-//! dapd --loopback [--seed N] [--intervals N] [--buffers M] [--shards S]
-//!      [--queue-depth Q] [--flood P] [--flood-end P2] [--copies G]
-//!      [--loss L] [--corrupt C] [--tolerance T] [--adaptive]
-//!      [--assert-soak] [--assert-adaptive] [--assert-posture-stable]
-//!      [--trace-out PATH] [--trace-depth D] [--span-every N]
-//!      [--telemetry ADDR]
-//!
-//! # Adaptive defense (DESIGN §13): --adaptive runs the online control
-//! # plane — the driver estimates the forged share from reveal-time
-//! # buffer evidence and re-sizes every shard's reservoirs at the
-//! # game's optimum as the flood changes. --flood-end P2 ramps the
-//! # flood from --flood to P2 over the first half of the run.
-//! # --assert-adaptive exits nonzero unless the loop actuated and the
-//! # final m landed within ±1 of the offline Algorithm 3 optimum;
-//! # --assert-posture-stable exits nonzero if any directive fired at
-//! # all (the clean-wire no-flap gate).
-//!
-//! # Deterministic fleet campaign (the ci.sh fleet gate): N tagged
-//! # senders, per-sender spoofing flood, session-table shards:
-//! dapd --fleet [--senders N] [--seed N] [--intervals N] [--buffers M]
-//!      [--shards S] [--queue-depth Q] [--flood P] [--copies G]
-//!      [--max-sessions K] [--session-budget-bits B] [--tolerance T]
-//!      [--pin IDS] [--pin-first N] [--adversary CLASS]
-//!      [--drain-budget B] [--assert-pinned-floor PERMILLE]
-//!      [--adaptive] [--assert-soak] [--assert-adaptive]
-//!      [--assert-posture-stable] [--trace-out PATH] [--trace-depth D]
-//!      [--span-every N] [--telemetry ADDR]
-//!
-//! # Overload posture: --pin 1,2,7 (or --pin-first N for ids 1..=N)
-//! # marks operator-pinned senders — never evicted while an unpinned
-//! # session exists, drained first under pressure. --drain-budget B
-//! # caps per-shard verifies per interval (the priority drain sheds the
-//! # rest, attributed under net.shed.*). --adversary picks the attack:
-//! # bernoulli | burst-reanchor | collusion | replay-edge | adaptive
-//! # (DESIGN §11). --assert-pinned-floor P exits nonzero if any pinned
-//! # sender's auth rate lands below P permille.
-//!
-//! # Real UDP, three roles (run in separate terminals):
-//! dapd --role receiver --bind 127.0.0.1:7440 [--seed N] [--intervals N]
-//!      [--buffers M] [--shards S] [--queue-depth Q] [--duration-ms T]
-//!      [--tick-us U] [--telemetry ADDR] [--trace-out PATH]
-//! dapd --role sender   --target 127.0.0.1:7440 [--seed N] [--intervals N]
-//!      [--copies G] [--tick-us U] [--sender-id ID]
-//! dapd --role flooder  --target 127.0.0.1:7440 [--flood P] [--rate FPS]
-//!      [--duration-ms T] [--seed N] [--tick-us U] [--spoof ID]
+//! dapd --role receiver --bind 127.0.0.1:7440
+//! dapd --role sender   --target 127.0.0.1:7440
+//! dapd --role flooder  --target 127.0.0.1:7440 --flood 0.9
 //! ```
+//!
+//! Adaptive defense (DESIGN §13): `--adaptive` runs the online control
+//! plane — the driver estimates the forged share from reveal-time buffer
+//! evidence and re-sizes every shard's reservoirs at the game's optimum
+//! as the flood changes. `--flood-end P2` ramps the flood from `--flood`
+//! to P2 over the first half of the run. `--assert-adaptive` exits
+//! nonzero unless the loop actuated and the final m landed within ±1 of
+//! the offline Algorithm 3 optimum; `--assert-posture-stable` exits
+//! nonzero if any directive fired at all (the clean-wire no-flap gate).
+//!
+//! Overload posture (DESIGN §11): `--pin 1,2,7` (or `--pin-first N` for
+//! ids 1..=N) marks operator-pinned senders — never evicted while an
+//! unpinned session exists, drained first under pressure.
+//! `--drain-budget B` caps per-shard verifies per interval (the priority
+//! drain sheds the rest, attributed under `net.shed.*`). `--adversary`
+//! picks the attack: bernoulli | burst-reanchor | collusion |
+//! replay-edge | adaptive | reputation-farming.
+//! `--assert-pinned-floor P` exits nonzero if any pinned sender's auth
+//! rate lands below P permille.
 //!
 //! `--seed` and `--intervals` together stand in for the out-of-band
 //! bootstrap a real deployment would provision: the receiver re-derives
@@ -68,6 +51,11 @@
 //! timelines, audits and stage-latency reports); the receiver role
 //! prints its final sorted telemetry snapshot on Ctrl-C or when
 //! `--duration-ms` elapses.
+//!
+//! Options are strict: an unknown option, a missing value, a stray
+//! argument, or a value that does not parse or lies out of range (a
+//! flood share outside `[0, 1)`) prints usage and exits 2 before any
+//! work starts; `--help` prints usage and exits 0.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -76,7 +64,7 @@ use dap_core::{DapParams, DapSender, SenderId};
 use dap_net::clock::{NetClock, RealClock};
 use dap_net::fleet::{run_fleet_with, FleetSpec};
 use dap_net::loopback::{run_loopback_with, LoopbackSpec};
-use dap_net::opts::Opts;
+use dap_net::opts::{Opts, OptsError, Syntax};
 use dap_net::pool::{DapShard, OverflowPolicy, PoolConfig, PoolObs, ReceiverPool, RoutePolicy};
 use dap_net::pump::{Flooder, SenderPump};
 use dap_net::telemetry::{SharedRegistry, TelemetryServer};
@@ -84,14 +72,36 @@ use dap_net::transport::{Transport, UdpTransport};
 use dap_obs::{JsonlSink, TimeSource, TraceRecord, TraceSink};
 use dap_simnet::SimDuration;
 
-const FLAGS: &[&str] = &[
-    "loopback",
-    "fleet",
-    "assert-soak",
-    "adaptive",
-    "assert-adaptive",
-    "assert-posture-stable",
-];
+const SYNTAX: Syntax<'static> = Syntax {
+    flags: "loopback fleet assert-soak adaptive assert-adaptive assert-posture-stable",
+    keys: "seed intervals buffers shards queue-depth flood flood-end copies loss corrupt \
+           tolerance trace-out trace-depth span-every telemetry senders max-sessions \
+           session-budget-bits pin pin-first adversary drain-budget assert-pinned-floor \
+           role bind target duration-ms tick-us sender-id rate spoof",
+    positional: 0,
+    usage: "usage: dapd --loopback [--seed N] [--intervals N] [--buffers M] [--shards S]
+                 [--queue-depth Q] [--flood P] [--flood-end P2] [--copies G]
+                 [--loss L] [--corrupt C] [--tolerance T] [--adaptive]
+                 [--assert-soak] [--assert-adaptive] [--assert-posture-stable]
+                 [--trace-out PATH] [--trace-depth D] [--span-every N]
+                 [--telemetry ADDR]
+       dapd --fleet [--senders N] [--seed N] [--intervals N] [--buffers M]
+                 [--shards S] [--queue-depth Q] [--flood P] [--copies G]
+                 [--max-sessions K] [--session-budget-bits B] [--tolerance T]
+                 [--pin IDS] [--pin-first N] [--adversary CLASS]
+                 [--drain-budget B] [--assert-pinned-floor PERMILLE]
+                 [--adaptive] [--assert-soak] [--assert-adaptive]
+                 [--assert-posture-stable] [--trace-out PATH] [--trace-depth D]
+                 [--span-every N] [--telemetry ADDR]
+       dapd --role receiver --bind ADDR [--seed N] [--intervals N] [--buffers M]
+                 [--shards S] [--queue-depth Q] [--duration-ms T] [--tick-us U]
+                 [--telemetry ADDR] [--trace-out PATH]
+       dapd --role sender --target ADDR [--seed N] [--intervals N] [--copies G]
+                 [--tick-us U] [--sender-id ID]
+       dapd --role flooder --target ADDR [--flood P] [--rate FPS]
+                 [--duration-ms T] [--seed N] [--tick-us U] [--spoof ID]
+Flood shares P, P2 lie in [0, 1).",
+};
 
 /// Stores a Ctrl-C so the receiver loop can drain, snapshot and exit
 /// cleanly instead of dying mid-run with its telemetry unprinted.
@@ -134,21 +144,33 @@ mod sigint {
 }
 
 fn main() {
-    let opts = Opts::parse(FLAGS);
+    let opts = SYNTAX.parse_env();
+    if let Err(err) = run(&opts) {
+        SYNTAX.fail(&err);
+    }
+}
+
+/// Dispatches to the mode. Every option is read and checked before a
+/// mode starts work, so a refused command line never half-runs.
+fn run(opts: &Opts) -> Result<(), OptsError> {
     if opts.flag("loopback") {
-        run_loopback_mode(&opts);
-        return;
+        return run_loopback_mode(opts);
     }
     if opts.flag("fleet") {
-        run_fleet_mode(&opts);
-        return;
+        return run_fleet_mode(opts);
     }
-    match opts.get("role") {
-        Some("sender") => run_sender(&opts),
-        Some("receiver") => run_receiver(&opts),
-        Some("flooder") => run_flooder(&opts),
-        Some(other) => panic!("unknown --role {other:?} (sender | receiver | flooder)"),
-        None => panic!("need --loopback, --fleet or --role sender|receiver|flooder"),
+    match opts.require(
+        "role",
+        "--loopback, --fleet or --role sender|receiver|flooder",
+    )? {
+        "sender" => run_sender(opts),
+        "receiver" => run_receiver(opts),
+        "flooder" => run_flooder(opts),
+        other => Err(OptsError::OutOfRange {
+            key: "role".into(),
+            raw: other.into(),
+            domain: "sender | receiver | flooder",
+        }),
     }
 }
 
@@ -161,7 +183,7 @@ fn udp_params(buffers: usize) -> DapParams {
 
 /// Trace ring depth: explicit `--trace-depth`, else a generous default
 /// whenever `--trace-out` asks for the trace at all.
-fn trace_depth(opts: &Opts) -> usize {
+fn trace_depth(opts: &Opts) -> Result<usize, OptsError> {
     let default = if opts.get("trace-out").is_some() {
         65_536
     } else {
@@ -173,8 +195,8 @@ fn trace_depth(opts: &Opts) -> usize {
 /// Flight-recorder cadence: explicit `--span-every`, else record every
 /// verified datagram whenever the run is traced at all (spans are what
 /// `daptrace report` breaks latency down from).
-fn span_every(opts: &Opts) -> u64 {
-    let default = u64::from(trace_depth(opts) > 0);
+fn span_every(opts: &Opts) -> Result<u64, OptsError> {
+    let default = u64::from(trace_depth(opts)? > 0);
     opts.get_or("span-every", default)
 }
 
@@ -193,23 +215,22 @@ fn write_trace(path: &str, records: &[TraceRecord], time: &TimeSource) {
     eprintln!("trace: {} records -> {path}", records.len());
 }
 
-fn run_loopback_mode(opts: &Opts) {
+fn run_loopback_mode(opts: &Opts) -> Result<(), OptsError> {
+    let tolerance = opts.get_or("tolerance", 0.08)?;
     let spec = LoopbackSpec {
-        seed: opts.get_or("seed", 2016),
-        intervals: opts.get_or("intervals", 400),
-        buffers: opts.get_or("buffers", 4),
-        shards: opts.get_or("shards", 4),
-        queue_depth: opts.get_or("queue-depth", 256),
-        flood: opts.get_or("flood", 0.9),
-        copies: opts.get_or("copies", 4),
-        loss: opts.get_or("loss", 0.0),
-        corrupt: opts.get_or("corrupt", 0.0),
-        flood_end: opts
-            .get("flood-end")
-            .map(|v| v.parse().expect("--flood-end is a bandwidth share")),
+        seed: opts.get_or("seed", 2016)?,
+        intervals: opts.get_or("intervals", 400)?,
+        buffers: opts.get_or("buffers", 4)?,
+        shards: opts.get_or("shards", 4)?,
+        queue_depth: opts.get_or("queue-depth", 256)?,
+        flood: opts.share("flood")?.unwrap_or(0.9),
+        copies: opts.get_or("copies", 4)?,
+        loss: opts.get_or("loss", 0.0)?,
+        corrupt: opts.get_or("corrupt", 0.0)?,
+        flood_end: opts.share("flood-end")?,
         adaptive: opts.flag("adaptive"),
-        trace_depth: trace_depth(opts),
-        span_every: span_every(opts),
+        trace_depth: trace_depth(opts)?,
+        span_every: span_every(opts)?,
     };
     println!(
         "dapd --loopback seed={} intervals={} m={} shards={} p={} p_end={} copies={} loss={} \
@@ -245,7 +266,7 @@ fn run_loopback_mode(opts: &Opts) {
         write_trace(path, &report.trace, &TimeSource::frozen());
     }
     if opts.flag("assert-soak") {
-        assert_soak(&spec, &report, opts.get_or("tolerance", 0.08));
+        assert_soak(&spec, &report, tolerance);
         println!("soak: ok");
     }
     if opts.flag("assert-adaptive") {
@@ -259,6 +280,7 @@ fn run_loopback_mode(opts: &Opts) {
     if let Some(server) = server {
         server.stop();
     }
+    Ok(())
 }
 
 /// The adaptive-gate invariants: the control loop sampled evidence,
@@ -295,43 +317,25 @@ fn assert_posture_stable(m: &dap_simnet::Metrics) {
     );
 }
 
-/// The pin roster: `--pin 1,2,7` (explicit ids) merged with
-/// `--pin-first N` (ids `1..=N`), deduplicated and sorted.
-fn parse_pins(opts: &Opts) -> Vec<u64> {
-    let mut pins: std::collections::BTreeSet<u64> = opts
-        .get("pin")
-        .map(|list| {
-            list.split(',')
-                .filter(|s| !s.is_empty())
-                .map(|s| s.trim().parse().expect("--pin takes comma-separated ids"))
-                .collect()
-        })
-        .unwrap_or_default();
-    pins.extend(1..=opts.get_or("pin-first", 0u64));
-    pins.into_iter().collect()
-}
-
-fn run_fleet_mode(opts: &Opts) {
-    let adversary = opts
-        .get("adversary")
-        .map_or(Ok(dap_net::AdversaryClass::Bernoulli), str::parse)
-        .expect("--adversary");
+fn run_fleet_mode(opts: &Opts) -> Result<(), OptsError> {
+    let tolerance = opts.get_or("tolerance", 0.08)?;
+    let pinned_floor: Option<u64> = opts.parsed("assert-pinned-floor")?;
     let spec = FleetSpec {
-        seed: opts.get_or("seed", 2016),
-        senders: opts.get_or("senders", 64),
-        intervals: opts.get_or("intervals", 8),
-        buffers: opts.get_or("buffers", 4),
-        shards: opts.get_or("shards", 4),
-        queue_depth: opts.get_or("queue-depth", 4096),
-        flood: opts.get_or("flood", 0.8),
-        copies: opts.get_or("copies", 4),
-        max_sessions: opts.get_or("max-sessions", usize::MAX),
-        memory_budget_bits: opts.get_or("session-budget-bits", 16 * 1024 * 1024),
-        trace_depth: trace_depth(opts),
-        span_every: span_every(opts),
-        pins: parse_pins(opts),
-        adversary,
-        drain_budget: opts.get_or("drain-budget", usize::MAX),
+        seed: opts.get_or("seed", 2016)?,
+        senders: opts.get_or("senders", 64)?,
+        intervals: opts.get_or("intervals", 8)?,
+        buffers: opts.get_or("buffers", 4)?,
+        shards: opts.get_or("shards", 4)?,
+        queue_depth: opts.get_or("queue-depth", 4096)?,
+        flood: opts.share("flood")?.unwrap_or(0.8),
+        copies: opts.get_or("copies", 4)?,
+        max_sessions: opts.get_or("max-sessions", usize::MAX)?,
+        memory_budget_bits: opts.get_or("session-budget-bits", 16 * 1024 * 1024)?,
+        trace_depth: trace_depth(opts)?,
+        span_every: span_every(opts)?,
+        pins: opts.pin_roster()?.into_iter().collect(),
+        adversary: opts.get_or("adversary", dap_net::AdversaryClass::Bernoulli)?,
+        drain_budget: opts.get_or("drain-budget", usize::MAX)?,
         adaptive: opts.flag("adaptive"),
     };
     println!(
@@ -396,11 +400,10 @@ fn run_fleet_mode(opts: &Opts) {
         write_trace(path, &report.trace, &TimeSource::frozen());
     }
     if opts.flag("assert-soak") {
-        assert_fleet_soak(&spec, &report, opts.get_or("tolerance", 0.08));
+        assert_fleet_soak(&spec, &report, tolerance);
         println!("fleet soak: ok");
     }
-    if let Some(floor) = opts.get("assert-pinned-floor") {
-        let floor: u64 = floor.parse().expect("--assert-pinned-floor is permille");
+    if let Some(floor) = pinned_floor {
         let lo = report
             .min_pinned_auth_permille
             .expect("--assert-pinned-floor needs pinned senders (--pin / --pin-first)");
@@ -421,6 +424,7 @@ fn run_fleet_mode(opts: &Opts) {
     if let Some(server) = server {
         server.stop();
     }
+    Ok(())
 }
 
 /// The fleet-soak invariants the ci.sh fleet gate relies on: the
@@ -545,21 +549,19 @@ fn assert_soak(spec: &LoopbackSpec, report: &dap_net::loopback::LoopbackReport, 
     }
 }
 
-fn run_sender(opts: &Opts) {
-    let seed: u64 = opts.get_or("seed", 2016);
-    let intervals: u64 = opts.get_or("intervals", 60);
-    let copies: u32 = opts.get_or("copies", 2);
-    let tick_us: u64 = opts.get_or("tick-us", 1000);
-    let target = opts.get("target").expect("sender needs --target host:port");
+fn run_sender(opts: &Opts) -> Result<(), OptsError> {
+    let seed: u64 = opts.get_or("seed", 2016)?;
+    let intervals: u64 = opts.get_or("intervals", 60)?;
+    let copies: u32 = opts.get_or("copies", 2)?;
+    let tick_us: u64 = opts.get_or("tick-us", 1000)?;
+    let target = opts.require("target", "--target host:port for the sender")?;
     let bind = opts.get("bind").unwrap_or("127.0.0.1:0");
 
     let chain_len = usize::try_from(intervals).expect("interval count") + 2;
     let sender = DapSender::new(&seed.to_be_bytes(), chain_len, udp_params(8));
     let transport = UdpTransport::sender(bind, target).expect("bind sender socket");
     let clock = RealClock::new(Duration::from_micros(tick_us));
-    let tag = opts
-        .get("sender-id")
-        .map(|id| SenderId(id.parse().expect("--sender-id must be a number")));
+    let tag = opts.parsed("sender-id")?.map(SenderId);
     println!(
         "dapd sender -> {target}: {intervals} intervals x {copies} copies, seed {seed}, \
          {tick_us}us ticks{}",
@@ -576,17 +578,20 @@ fn run_sender(opts: &Opts) {
         "sender done: {} announces, {} reveals, {} exhausted",
         stats.announces, stats.reveals, stats.exhausted
     );
+    Ok(())
 }
 
-fn run_receiver(opts: &Opts) {
-    let seed: u64 = opts.get_or("seed", 2016);
-    let intervals: u64 = opts.get_or("intervals", 60);
-    let buffers: usize = opts.get_or("buffers", 8);
-    let shards: usize = opts.get_or("shards", 4);
-    let queue_depth: usize = opts.get_or("queue-depth", 1024);
-    let duration_ms: u64 = opts.get_or("duration-ms", 10_000);
-    let tick_us: u64 = opts.get_or("tick-us", 1000);
-    let bind = opts.get("bind").expect("receiver needs --bind host:port");
+fn run_receiver(opts: &Opts) -> Result<(), OptsError> {
+    let seed: u64 = opts.get_or("seed", 2016)?;
+    let intervals: u64 = opts.get_or("intervals", 60)?;
+    let buffers: usize = opts.get_or("buffers", 8)?;
+    let shards: usize = opts.get_or("shards", 4)?;
+    let queue_depth: usize = opts.get_or("queue-depth", 1024)?;
+    let duration_ms: u64 = opts.get_or("duration-ms", 10_000)?;
+    let tick_us: u64 = opts.get_or("tick-us", 1000)?;
+    let bind = opts.require("bind", "--bind host:port for the receiver")?;
+    let trace_depth = trace_depth(opts)?;
+    let span_every = span_every(opts)?;
 
     sigint::install();
 
@@ -619,11 +624,11 @@ fn run_receiver(opts: &Opts) {
         |shard| DapShard::new(bootstrap, &[b'u', b'd', b'p', shard as u8]),
         PoolObs {
             time: TimeSource::wall(),
-            trace_depth: trace_depth(opts),
+            trace_depth,
             publish: shared,
             // Live enough for a scrape without a per-frame lock.
             publish_every: 256,
-            span_every: span_every(opts),
+            span_every,
         },
     );
     let handle = pool.handle();
@@ -670,25 +675,22 @@ fn run_receiver(opts: &Opts) {
     if let Some(server) = server {
         server.stop();
     }
+    Ok(())
 }
 
-fn run_flooder(opts: &Opts) {
-    let seed: u64 = opts.get_or("seed", 666);
-    let p: f64 = opts.get_or("flood", 0.9);
-    let rate: u64 = opts.get_or("rate", 2000);
-    let duration_ms: u64 = opts.get_or("duration-ms", 10_000);
-    let tick_us: u64 = opts.get_or("tick-us", 1000);
-    let target = opts
-        .get("target")
-        .expect("flooder needs --target host:port");
+fn run_flooder(opts: &Opts) -> Result<(), OptsError> {
+    let seed: u64 = opts.get_or("seed", 666)?;
+    let p = opts.share("flood")?.unwrap_or(0.9);
+    let rate: u64 = opts.get_or("rate", 2000)?;
+    let duration_ms: u64 = opts.get_or("duration-ms", 10_000)?;
+    let tick_us: u64 = opts.get_or("tick-us", 1000)?;
+    let target = opts.require("target", "--target host:port for the flooder")?;
 
     let transport = UdpTransport::sender("127.0.0.1:0", target).expect("bind flooder socket");
     let clock = RealClock::new(Duration::from_micros(tick_us));
     let schedule = udp_params(8).schedule();
     let mut flooder = Flooder::new(transport, seed, p);
-    let spoof = opts
-        .get("spoof")
-        .map(|id| SenderId(id.parse().expect("--spoof must be a sender id number")));
+    let spoof = opts.parsed("spoof")?.map(SenderId);
     println!(
         "dapd flooder -> {target}: p={p} ({rate} forged/s for {duration_ms}ms, seed {seed}{})",
         spoof.map_or(String::new(), |id| format!(", spoofing sender {}", id.0))
@@ -718,4 +720,5 @@ fn run_flooder(opts: &Opts) {
         std::thread::sleep(Duration::from_millis(10));
     }
     println!("flooder done: {sent} forged announces");
+    Ok(())
 }

@@ -31,57 +31,49 @@ use std::collections::BTreeSet;
 use std::process::ExitCode;
 
 use dap_net::forensics;
+use dap_net::opts::{Opts, OptsError, Syntax};
 use dap_obs::{parse_trace, ParsedTrace};
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: daptrace <audit|report|timeline> <trace.jsonl> \
-         [--pin-first N] [--pin IDS] [--sender ID] [--limit N]"
-    );
-    ExitCode::from(2)
+const SYNTAX: Syntax<'static> = Syntax {
+    flags: "",
+    keys: "pin-first pin sender limit",
+    positional: 2,
+    usage: "usage: daptrace <audit|report|timeline> <trace.jsonl> \
+            [--pin-first N] [--pin IDS] [--sender ID] [--limit N]",
+};
+
+/// The three subcommands.
+enum Command {
+    Audit,
+    Report,
+    Timeline,
 }
 
-/// The hand-rolled CLI surface: one subcommand, one path, flag pairs.
+/// The CLI surface: one subcommand, one path, option pairs.
 struct Cli {
-    command: String,
+    command: Command,
     path: String,
     pins: BTreeSet<u64>,
     sender: Option<u64>,
     limit: usize,
 }
 
-fn parse_cli(args: &[String]) -> Option<Cli> {
-    let mut positional = Vec::new();
-    let mut pins = BTreeSet::new();
-    let mut sender = None;
-    let mut limit = 0usize;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--pin-first" => {
-                let n: u64 = it.next()?.parse().ok()?;
-                pins.extend(1..=n);
-            }
-            "--pin" => {
-                for id in it.next()?.split(',') {
-                    pins.insert(id.trim().parse().ok()?);
-                }
-            }
-            "--sender" => sender = Some(it.next()?.parse().ok()?),
-            "--limit" => limit = it.next()?.parse().ok()?,
-            flag if flag.starts_with("--") => return None,
-            _ => positional.push(arg.clone()),
-        }
-    }
-    let [command, path] = positional.as_slice() else {
-        return None;
+fn parse_cli(opts: &Opts) -> Result<Cli, OptsError> {
+    let [command, path] = opts.positional() else {
+        return Err(OptsError::Required("a subcommand and a trace path"));
     };
-    Some(Cli {
-        command: command.clone(),
+    let command = match command.as_str() {
+        "audit" => Command::Audit,
+        "report" => Command::Report,
+        "timeline" => Command::Timeline,
+        _ => return Err(OptsError::Positional(command.clone())),
+    };
+    Ok(Cli {
+        command,
         path: path.clone(),
-        pins,
-        sender,
-        limit,
+        pins: opts.pin_roster()?,
+        sender: opts.parsed("sender")?,
+        limit: opts.get_or("limit", 0)?,
     })
 }
 
@@ -107,16 +99,13 @@ fn load(path: &str) -> Result<ParsedTrace, ExitCode> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cli) = parse_cli(&args) else {
-        return usage();
-    };
+    let cli = parse_cli(&SYNTAX.parse_env()).unwrap_or_else(|err| SYNTAX.fail(&err));
     let trace = match load(&cli.path) {
         Ok(trace) => trace,
         Err(code) => return code,
     };
-    match cli.command.as_str() {
-        "audit" => {
+    match cli.command {
+        Command::Audit => {
             let violations = forensics::audit(&trace, &cli.pins);
             for violation in &violations {
                 println!("{}", violation.render());
@@ -133,17 +122,16 @@ fn main() -> ExitCode {
                 ExitCode::from(1)
             }
         }
-        "report" => {
+        Command::Report => {
             print!("{}", forensics::render_report(&trace));
             ExitCode::SUCCESS
         }
-        "timeline" => {
+        Command::Timeline => {
             print!(
                 "{}",
                 forensics::render_timeline(&trace, cli.sender, cli.limit)
             );
             ExitCode::SUCCESS
         }
-        _ => usage(),
     }
 }

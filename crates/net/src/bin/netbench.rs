@@ -3,6 +3,7 @@
 //! same codec.
 //!
 //! Usage: `cargo run --release -p dap-net --bin netbench [out_dir]`
+//! (any other argument prints usage and exits 2).
 //!
 //! Writes `BENCH_net.json` into `out_dir` (default: current directory)
 //! and prints the same numbers to stdout. Per-frame lanes stream their
@@ -19,6 +20,7 @@ use dap_core::{codec, DapMessage, DapParams, DapReceiver, DapSender, Reveal, Sen
 use dap_net::adversary::AdversaryClass;
 use dap_net::fleet::{run_fleet, FleetSpec};
 use dap_net::loopback::{run_loopback, LoopbackSpec};
+use dap_net::opts::Syntax;
 use dap_net::pool::{DapShard, FrameVerifier, LiveCounters, TeslaPpShard};
 use dap_obs::Histogram;
 use dap_simnet::{keys, Registry, SimDuration, SimRng, SimTime};
@@ -535,11 +537,16 @@ fn bench_codec() -> Lane {
     Lane::from_iters("codec_roundtrip", sample)
 }
 
+const SYNTAX: Syntax<'static> = Syntax {
+    flags: "",
+    keys: "",
+    positional: 1,
+    usage: "usage: netbench [out_dir]   (DAP_BENCH_MS scales the budget)",
+};
+
 fn main() {
-    let out_dir = std::env::args()
-        .nth(1)
-        .filter(|a| !a.starts_with('-'))
-        .unwrap_or_else(|| ".".into());
+    let opts = SYNTAX.parse_env();
+    let out_dir = opts.positional().first().map_or(".", String::as_str);
 
     let (ingest, ingest_traced) = bench_ingest_pair();
     let fleet = bench_fleet_ingest();

@@ -13,9 +13,10 @@
 //!    estimator folds each interval's sample into an integer EWMA
 //!    (parts-per-million, truncating division) — no floats, so two
 //!    same-seed runs agree bit-for-bit.
-//! 2. **Solve** — when the estimate drifts past a hysteresis band, the
-//!    plane re-runs Algorithm 3 online ([`dap_game::solve_posture_permille`]:
-//!    no allocation, bounded steps) at the current `p̂`.
+//! 2. **Decide** — when the estimate drifts past a hysteresis band, the
+//!    plane looks `p̂` up in Algorithm 3's committed breakpoint table
+//!    ([`dap_game::posture_for_permille`]: O(1), total over `0..=1000‰`,
+//!    an all-forged wire reads give-up).
 //! 3. **Actuate** — a changed optimum becomes a [`PostureDirective`]
 //!    the driver broadcasts via [`PoolHandle::post_posture`]; every
 //!    shard re-sizes its reservoirs at its next window boundary and the
@@ -30,34 +31,30 @@
 //! [`TraceEvent::PostureChange`]: dap_obs::TraceEvent::PostureChange
 
 use dap_core::PostureDirective;
-use dap_game::solve_posture_permille;
+use dap_game::posture_for_permille;
 use dap_simnet::{keys, Registry};
 
 use crate::pool::LiveCounters;
 
-/// Tuning knobs for the [`ControlPlane`]. The defaults track the
-/// paper's economy (cap `M = 50`) with a ~32-interval estimator time
-/// constant and a 1% re-solve dead-band.
+/// Tuning knobs for the [`ControlPlane`]. The defaults give a
+/// ~32-interval estimator time constant and a 1% decision dead-band.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ControlConfig {
-    /// Largest buffer count Algorithm 3 may select (the paper's `M`).
-    pub cap: u32,
     /// EWMA smoothing as a right-shift: each sample moves the estimate
     /// by `(sample − p̂) / 2^ewma_shift`. Shift 5 ≈ a 32-interval time
     /// constant — long enough to average out per-interval sampling
     /// noise (`σ ≈ √(p(1−p)/m)` per interval), short enough to track a
     /// ramping attacker within a campaign.
     pub ewma_shift: u32,
-    /// Dead-band in permille: Algorithm 3 re-runs only when `p̂` has
-    /// moved at least this far from the last solved point. Keeps a
-    /// noisy-but-stationary wire from thrashing the solver.
+    /// Dead-band in permille: the posture is re-decided only when `p̂`
+    /// has moved at least this far from the last decided point. Keeps a
+    /// noisy-but-stationary wire from flapping between adjacent rows.
     pub hysteresis_permille: u32,
 }
 
 impl Default for ControlConfig {
     fn default() -> Self {
         Self {
-            cap: 50,
             ewma_shift: 5,
             hysteresis_permille: 10,
         }
@@ -67,7 +64,7 @@ impl Default for ControlConfig {
 /// Parts-per-million per permille — the estimator's internal resolution.
 const PPM_PER_PERMILLE: i64 = 1000;
 
-/// The online estimator + solver + actuator. One instance per campaign,
+/// The online estimator, table decision and actuator. One instance per campaign,
 /// stepped by the driver at every interval boundary.
 #[derive(Debug, Clone)]
 pub struct ControlPlane {
@@ -80,13 +77,14 @@ pub struct ControlPlane {
     /// monotone; the plane differences them per step).
     seen_decided: u64,
     seen_forged: u64,
-    /// The `p̂` (permille) Algorithm 3 last ran at.
-    last_solved_permille: Option<u32>,
+    /// The `p̂` (permille) the posture table was last read at.
+    last_decided_permille: Option<u32>,
     /// The currently commanded posture (effective buffers, give-up).
     buffers: u32,
     give_up: bool,
     epoch: u64,
     samples: u64,
+    /// Table lookups past the dead-band (published as `control.solves`).
     solves: u64,
     directives: u64,
     /// The most recent raw evidence sample (ppm), before smoothing —
@@ -112,7 +110,7 @@ impl ControlPlane {
             p_hat_ppm: None,
             seen_decided: 0,
             seen_forged: 0,
-            last_solved_permille: None,
+            last_decided_permille: None,
             buffers: bootstrap_buffers,
             give_up: false,
             epoch: 0,
@@ -214,25 +212,24 @@ impl ControlPlane {
         self.p_hat_ppm = Some(p_hat);
         let p_permille = Self::ppm_to_permille(p_hat);
         let moved = self
-            .last_solved_permille
+            .last_decided_permille
             .map_or(u32::MAX, |prev| prev.abs_diff(p_permille));
         if moved < self.config.hysteresis_permille {
             return None;
         }
-        self.last_solved_permille = Some(p_permille);
+        self.last_decided_permille = Some(p_permille);
         self.solves += 1;
-        let posture = solve_posture_permille(p_permille, self.config.cap);
-        let effective = if posture.give_up { 1 } else { posture.m.max(1) };
-        if effective == self.buffers && posture.give_up == self.give_up {
+        let posture = posture_for_permille(p_permille);
+        if posture.m == self.buffers && posture.give_up == self.give_up {
             return None;
         }
-        self.buffers = effective;
+        self.buffers = posture.m;
         self.give_up = posture.give_up;
         self.epoch += 1;
         self.directives += 1;
         Some(PostureDirective {
             epoch: self.epoch,
-            buffers: effective,
+            buffers: posture.m,
             give_up: posture.give_up,
             p_permille,
         })
@@ -295,17 +292,59 @@ mod tests {
 
     #[test]
     fn estimate_stays_in_probability_range_under_arbitrary_evidence() {
-        let mut plane = ControlPlane::new(4, ControlConfig::default());
+        // Per-interval (decided, forged) increments: a random stream,
+        // then the edge shapes — an all-forged wire, an all-genuine one,
+        // intervals with nothing decided, and a 0 → 1000 → 0‰ ramp.
         let mut rng = SimRng::new(0xC0DE);
-        let (mut decided, mut forged) = (0u64, 0u64);
-        for _ in 0..500 {
-            let d = rng.below(40);
-            let f = if d == 0 { 0 } else { rng.below(d + 1) };
-            decided += d;
-            forged += f;
-            plane.step_evidence(decided, forged);
-            assert!(plane.p_hat_permille() <= 1000);
-            assert!(plane.buffers() >= 1 && plane.buffers() <= 50);
+        let random: Vec<(u64, u64)> = (0..500)
+            .map(|_| {
+                let d = rng.below(40);
+                (d, if d == 0 { 0 } else { rng.below(d + 1) })
+            })
+            .collect();
+        let ramp: Vec<(u64, u64)> = (0..=100u64)
+            .chain((0..100).rev())
+            .map(|step| (100, step))
+            .collect();
+        let streams = [
+            random,
+            vec![(50, 50); 200],
+            vec![(50, 0); 200],
+            vec![(0, 0); 200],
+            ramp,
+        ];
+        for stream in streams {
+            let mut plane = ControlPlane::new(4, ControlConfig::default());
+            let (mut decided, mut forged) = (0u64, 0u64);
+            for (d, f) in stream {
+                decided += d;
+                forged += f;
+                plane.step_evidence(decided, forged);
+                assert!(plane.p_hat_permille() <= 1000);
+                assert!(plane.buffers() >= 1 && plane.buffers() <= 50);
+                assert!(!plane.give_up() || plane.buffers() == 1);
+            }
+        }
+    }
+
+    #[test]
+    fn all_forged_first_sample_commands_give_up() {
+        for bootstrap in [1, 4] {
+            let mut plane = ControlPlane::new(bootstrap, ControlConfig::default());
+            let directive = plane.step_evidence(100, 100);
+            assert_eq!(
+                directive,
+                Some(PostureDirective {
+                    epoch: 1,
+                    buffers: 1,
+                    give_up: true,
+                    p_permille: 1000,
+                }),
+                "bootstrap m = {bootstrap}"
+            );
+            assert_eq!(plane.p_hat_permille(), 1000);
+            assert!(plane.give_up());
+            assert_eq!(plane.buffers(), 1);
         }
     }
 

@@ -497,7 +497,7 @@ impl FrameVerifier for FleetShard {
         // directive takes effect without waiting for churn.
         self.params.buffers = to;
         self.table.reprovision(to);
-        (from != to).then_some(PostureUpdate {
+        Some(PostureUpdate {
             from_m: from as u64,
             to_m: to as u64,
         })

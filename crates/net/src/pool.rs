@@ -236,7 +236,8 @@ pub trait FrameVerifier: Send {
 
     /// Applies a control-plane posture directive — re-size reservoir
     /// buffers, flip the §V give-up switch — and reports the buffer
-    /// transition, if any, so the pool can trace it. The directive
+    /// transition so the pool can trace it (a give-up verdict that
+    /// keeps `m` unchanged is a transition too). The directive
     /// arrives *between* windows (the worker flushes its buffered
     /// window first), so a re-size never splits a window's sampling.
     /// Default: ignore directives (verifiers without buffers).
@@ -537,10 +538,9 @@ impl FrameVerifier for DapShard {
     fn on_posture(&mut self, directive: &PostureDirective) -> Option<PostureUpdate> {
         let from = self.receiver.buffer_capacity();
         let to = directive.effective_buffers();
-        if from == to {
-            return None;
+        if from != to {
+            self.receiver.set_buffers(to);
         }
-        self.receiver.set_buffers(to);
         Some(PostureUpdate {
             from_m: from as u64,
             to_m: to as u64,

@@ -473,7 +473,7 @@ pub mod keys {
     pub const CONTROL_SAMPLES: &str = "control.samples";
     /// Control plane: final smoothed forged-fraction estimate (permille).
     pub const CONTROL_P_PERMILLE: &str = "control.p_permille";
-    /// Control plane: online game solves run (hysteresis-gated).
+    /// Control plane: posture-table decisions taken (hysteresis-gated).
     pub const CONTROL_SOLVES: &str = "control.solves";
     /// Control plane: posture directives issued (m or give-up changed).
     pub const CONTROL_DIRECTIVES: &str = "control.directives";
