@@ -257,4 +257,24 @@ while IFS= read -r line; do
     }
 done < BENCH_crypto.json
 
+echo "== wirebench (the repository benchmark builds and replays correctly) =="
+# BENCHMARK.json runs wirebench, a cargo package of its own outside the
+# workspace, so none of the steps above build it. Build it, run its
+# tests, and replay every workload once, briefly: the last stdout line
+# must report "correct":true (no round authenticates more reveals than
+# were sent, flood rounds stay inside the 1 - p^m soak envelope, and
+# every round on a corpus renders the same counters).
+wirebench="cargo run --quiet --release --offline --manifest-path wirebench/Cargo.toml --"
+cargo build --release --offline --manifest-path wirebench/Cargo.toml
+cargo test -q --release --offline --manifest-path wirebench/Cargo.toml
+for workload in flood fleet adaptive; do
+    $wirebench --workload "$workload" --seed 1 --seconds 1 --trace 0 \
+        > "target/wirebench_$workload.txt" 2> "target/wirebench_$workload.log" || true
+    tail -n 1 "target/wirebench_$workload.txt" | grep -q '"correct":true' || {
+        echo "wirebench $workload did not replay correctly:" >&2
+        tail -n 1 "target/wirebench_$workload.txt" >&2
+        exit 1
+    }
+done
+
 echo "ci.sh: all green"

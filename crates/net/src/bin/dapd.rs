@@ -54,8 +54,10 @@
 //!
 //! Options are strict: an unknown option, a missing value, a stray
 //! argument, or a value that does not parse or lies out of range (a
-//! flood share outside `[0, 1)`) prints usage and exits 2 before any
-//! work starts; `--help` prints usage and exits 0.
+//! flood share outside `[0, 1)`, a loss or corruption probability
+//! outside `[0, 1]`, zero buffers, shards, queue depth or senders)
+//! prints usage and exits 2 before any work starts; `--help` prints
+//! usage and exits 0.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -100,7 +102,8 @@ const SYNTAX: Syntax<'static> = Syntax {
                  [--tick-us U] [--sender-id ID]
        dapd --role flooder --target ADDR [--flood P] [--rate FPS]
                  [--duration-ms T] [--seed N] [--tick-us U] [--spoof ID]
-Flood shares P, P2 lie in [0, 1).",
+Flood shares P, P2 lie in [0, 1); loss L and corruption C in [0, 1];
+--buffers, --shards, --queue-depth and --senders take 1 or more.",
 };
 
 /// Stores a Ctrl-C so the receiver loop can drain, snapshot and exit
@@ -220,13 +223,13 @@ fn run_loopback_mode(opts: &Opts) -> Result<(), OptsError> {
     let spec = LoopbackSpec {
         seed: opts.get_or("seed", 2016)?,
         intervals: opts.get_or("intervals", 400)?,
-        buffers: opts.get_or("buffers", 4)?,
-        shards: opts.get_or("shards", 4)?,
-        queue_depth: opts.get_or("queue-depth", 256)?,
+        buffers: opts.count("buffers", 4)?,
+        shards: opts.count("shards", 4)?,
+        queue_depth: opts.count("queue-depth", 256)?,
         flood: opts.share("flood")?.unwrap_or(0.9),
         copies: opts.get_or("copies", 4)?,
-        loss: opts.get_or("loss", 0.0)?,
-        corrupt: opts.get_or("corrupt", 0.0)?,
+        loss: opts.probability("loss")?,
+        corrupt: opts.probability("corrupt")?,
         flood_end: opts.share("flood-end")?,
         adaptive: opts.flag("adaptive"),
         trace_depth: trace_depth(opts)?,
@@ -322,11 +325,11 @@ fn run_fleet_mode(opts: &Opts) -> Result<(), OptsError> {
     let pinned_floor: Option<u64> = opts.parsed("assert-pinned-floor")?;
     let spec = FleetSpec {
         seed: opts.get_or("seed", 2016)?,
-        senders: opts.get_or("senders", 64)?,
+        senders: opts.count("senders", 64)?,
         intervals: opts.get_or("intervals", 8)?,
-        buffers: opts.get_or("buffers", 4)?,
-        shards: opts.get_or("shards", 4)?,
-        queue_depth: opts.get_or("queue-depth", 4096)?,
+        buffers: opts.count("buffers", 4)?,
+        shards: opts.count("shards", 4)?,
+        queue_depth: opts.count("queue-depth", 4096)?,
         flood: opts.share("flood")?.unwrap_or(0.8),
         copies: opts.get_or("copies", 4)?,
         max_sessions: opts.get_or("max-sessions", usize::MAX)?,
@@ -584,9 +587,9 @@ fn run_sender(opts: &Opts) -> Result<(), OptsError> {
 fn run_receiver(opts: &Opts) -> Result<(), OptsError> {
     let seed: u64 = opts.get_or("seed", 2016)?;
     let intervals: u64 = opts.get_or("intervals", 60)?;
-    let buffers: usize = opts.get_or("buffers", 8)?;
-    let shards: usize = opts.get_or("shards", 4)?;
-    let queue_depth: usize = opts.get_or("queue-depth", 1024)?;
+    let buffers: usize = opts.count("buffers", 8)?;
+    let shards: usize = opts.count("shards", 4)?;
+    let queue_depth: usize = opts.count("queue-depth", 1024)?;
     let duration_ms: u64 = opts.get_or("duration-ms", 10_000)?;
     let tick_us: u64 = opts.get_or("tick-us", 1000)?;
     let bind = opts.require("bind", "--bind host:port for the receiver")?;

@@ -198,12 +198,47 @@ impl Opts {
     /// [`OptsError::OutOfRange`] for `1`, negatives and NaN.
     pub fn share(&self, key: &str) -> Result<Option<f64>, OptsError> {
         match self.parsed::<f64>(key)? {
-            Some(p) if !(0.0..1.0).contains(&p) => Err(OptsError::OutOfRange {
-                key: key.to_string(),
-                raw: self.get(key).unwrap_or_default().to_string(),
-                domain: "[0, 1)",
-            }),
+            Some(p) if !(0.0..1.0).contains(&p) => Err(self.out_of_range(key, "[0, 1)")),
             share => Ok(share),
+        }
+    }
+
+    /// `--key` as a probability in `[0, 1]`, or `0` when absent.
+    ///
+    /// # Errors
+    ///
+    /// [`OptsError::BadValue`] when the value does not parse,
+    /// [`OptsError::OutOfRange`] above `1`, for negatives and NaN.
+    pub fn probability(&self, key: &str) -> Result<f64, OptsError> {
+        match self.parsed::<f64>(key)? {
+            Some(p) if !(0.0..=1.0).contains(&p) => Err(self.out_of_range(key, "[0, 1]")),
+            p => Ok(p.unwrap_or(0.0)),
+        }
+    }
+
+    /// `--key` as a count of at least one (buffers, shards, a queue
+    /// depth), or `default` when absent.
+    ///
+    /// # Errors
+    ///
+    /// [`OptsError::BadValue`] when the value does not parse,
+    /// [`OptsError::OutOfRange`] for `0`.
+    pub fn count<T: FromStr + PartialOrd + From<u8>>(
+        &self,
+        key: &str,
+        default: T,
+    ) -> Result<T, OptsError> {
+        match self.parsed::<T>(key)? {
+            Some(n) if n < T::from(1) => Err(self.out_of_range(key, "1 or more")),
+            n => Ok(n.unwrap_or(default)),
+        }
+    }
+
+    fn out_of_range(&self, key: &str, domain: &'static str) -> OptsError {
+        OptsError::OutOfRange {
+            key: key.to_string(),
+            raw: self.get(key).unwrap_or_default().to_string(),
+            domain,
         }
     }
 
@@ -368,5 +403,41 @@ mod tests {
             );
         }
         assert_eq!(parse(&[]).unwrap().share("flood"), Ok(None));
+    }
+
+    #[test]
+    fn probabilities_lie_in_the_closed_unit_interval() {
+        for (raw, p) in [("0", 0.0), ("0.25", 0.25), ("1", 1.0)] {
+            assert_eq!(
+                parse(&["--flood", raw]).unwrap().probability("flood"),
+                Ok(p)
+            );
+        }
+        for bad in ["1.01", "2", "-0.1", "NaN", "inf"] {
+            let opts = parse(&["--flood", bad]).unwrap();
+            assert!(
+                matches!(opts.probability("flood"), Err(OptsError::OutOfRange { .. })),
+                "{bad}"
+            );
+        }
+        assert_eq!(parse(&[]).unwrap().probability("flood"), Ok(0.0));
+    }
+
+    #[test]
+    fn counts_must_be_positive() {
+        assert_eq!(parse(&["--m", "3"]).unwrap().count("m", 4usize), Ok(3));
+        assert_eq!(parse(&[]).unwrap().count("m", 4usize), Ok(4));
+        assert_eq!(
+            parse(&["--m", "0"]).unwrap().count("m", 4u64),
+            Err(OptsError::OutOfRange {
+                key: "m".into(),
+                raw: "0".into(),
+                domain: "1 or more"
+            })
+        );
+        assert!(matches!(
+            parse(&["--m", "-1"]).unwrap().count("m", 4usize),
+            Err(OptsError::BadValue { .. })
+        ));
     }
 }

@@ -10,11 +10,22 @@
 //! dropping on scheduler timing).
 //!
 //! Built from `Mutex` + `Condvar` only — the workspace forbids `unsafe`,
-//! so a lock-free ring is off the table, and a mutex around a `VecDeque`
-//! is far below the cost of the HMAC work each frame triggers anyway.
+//! so a lock-free ring is off the table. The lock itself is cheap next
+//! to a frame's HMAC work; the wake-ups are not. A condvar notify is a
+//! `FUTEX_WAKE` syscall whether or not anyone waits, and a blocked
+//! producer woken once per freed slot sleeps and wakes in lock-step with
+//! the consumer. So the queue keeps a wake discipline:
+//!
+//! * every thread parked on a condvar is counted under the mutex, and a
+//!   push or pop signals only when the other side has someone parked;
+//! * a pop wakes parked writers only once the queue has drained to its
+//!   low watermark, half its capacity (empty, for capacity 1), so a
+//!   blocked producer wakes once per half-queue of work, not per item.
+//!
+//! [`IngressQueue::close`] still wakes everyone.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// Why a push was rejected, carrying the item back so the caller can
 /// count the drop (and attribute it: a full queue is congestion, a
@@ -50,15 +61,21 @@ pub enum Pop<T> {
 struct State<T> {
     items: VecDeque<T>,
     closed: bool,
+    /// Threads inside `readable.wait*` right now.
+    parked_readers: usize,
+    /// Threads inside `writable.wait` right now.
+    parked_writers: usize,
 }
 
 /// A bounded multi-producer queue; see the module docs for the two push
-/// flavours.
+/// flavours and the wake discipline.
 pub struct IngressQueue<T> {
     state: Mutex<State<T>>,
-    /// Signalled when an item arrives or the queue closes.
+    /// Signalled when an item arrives for a parked reader, or the queue
+    /// closes.
     readable: Condvar,
-    /// Signalled when space frees up or the queue closes.
+    /// Signalled when the queue drains to its low watermark with a
+    /// writer parked, or the queue closes.
     writable: Condvar,
     capacity: usize,
 }
@@ -76,6 +93,8 @@ impl<T> IngressQueue<T> {
             state: Mutex::new(State {
                 items: VecDeque::with_capacity(capacity),
                 closed: false,
+                parked_readers: 0,
+                parked_writers: 0,
             }),
             readable: Condvar::new(),
             writable: Condvar::new(),
@@ -99,8 +118,7 @@ impl<T> IngressQueue<T> {
             return Err(PushError::Full(item));
         }
         state.items.push_back(item);
-        drop(state);
-        self.readable.notify_one();
+        self.unlock_after_push(state);
         Ok(())
     }
 
@@ -113,15 +131,37 @@ impl<T> IngressQueue<T> {
     pub fn push_blocking(&self, item: T) -> Result<(), PushError<T>> {
         let mut state = self.state.lock().expect("queue mutex poisoned");
         while !state.closed && state.items.len() >= self.capacity {
+            state.parked_writers += 1;
             state = self.writable.wait(state).expect("queue mutex poisoned");
+            state.parked_writers -= 1;
         }
         if state.closed {
             return Err(PushError::Closed(item));
         }
         state.items.push_back(item);
-        drop(state);
-        self.readable.notify_one();
+        self.unlock_after_push(state);
         Ok(())
+    }
+
+    /// Releases the lock after a push, waking a reader only if one is
+    /// parked.
+    fn unlock_after_push(&self, state: MutexGuard<'_, State<T>>) {
+        let wake = state.parked_readers > 0;
+        drop(state);
+        if wake {
+            self.readable.notify_one();
+        }
+    }
+
+    /// Releases the lock after a pop. Parked writers wake only once the
+    /// queue is at its low watermark, and then all of them: a
+    /// `PoolHandle` clone may push from several threads.
+    fn unlock_after_pop(&self, state: MutexGuard<'_, State<T>>) {
+        let wake = state.parked_writers > 0 && state.items.len() <= self.capacity / 2;
+        drop(state);
+        if wake {
+            self.writable.notify_all();
+        }
     }
 
     /// Blocking pop: `None` once the queue is closed *and* drained —
@@ -130,14 +170,15 @@ impl<T> IngressQueue<T> {
         let mut state = self.state.lock().expect("queue mutex poisoned");
         loop {
             if let Some(item) = state.items.pop_front() {
-                drop(state);
-                self.writable.notify_one();
+                self.unlock_after_pop(state);
                 return Some(item);
             }
             if state.closed {
                 return None;
             }
+            state.parked_readers += 1;
             state = self.readable.wait(state).expect("queue mutex poisoned");
+            state.parked_readers -= 1;
         }
     }
 
@@ -150,8 +191,7 @@ impl<T> IngressQueue<T> {
         let mut state = self.state.lock().expect("queue mutex poisoned");
         loop {
             if let Some(item) = state.items.pop_front() {
-                drop(state);
-                self.writable.notify_one();
+                self.unlock_after_pop(state);
                 return Pop::Item(item);
             }
             if state.closed {
@@ -160,11 +200,13 @@ impl<T> IngressQueue<T> {
             let Some(remaining) = deadline.checked_duration_since(std::time::Instant::now()) else {
                 return Pop::Idle;
             };
+            state.parked_readers += 1;
             let (next, result) = self
                 .readable
                 .wait_timeout(state, remaining)
                 .expect("queue mutex poisoned");
             state = next;
+            state.parked_readers -= 1;
             if result.timed_out() && state.items.is_empty() && !state.closed {
                 return Pop::Idle;
             }
@@ -197,17 +239,33 @@ impl<T> IngressQueue<T> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// `(readers, writers)` parked on the condvars right now.
+    #[cfg(test)]
+    fn parked(&self) -> (usize, usize) {
+        let state = self.state.lock().expect("queue mutex poisoned");
+        (state.parked_readers, state.parked_writers)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
+
+    /// Spins until `q` has exactly `(readers, writers)` parked — the
+    /// interleaving a test needs, forced without a sleep.
+    fn await_parked<T>(q: &IngressQueue<T>, readers: usize, writers: usize) {
+        while q.parked() != (readers, writers) {
+            std::thread::yield_now();
+        }
+    }
 
     #[test]
     fn pop_timeout_reports_idle_item_and_closed() {
         let q = IngressQueue::new(4);
-        let t = std::time::Duration::from_millis(10);
+        let t = Duration::from_millis(10);
         assert_eq!(q.pop_timeout(t), Pop::Idle);
         q.try_push(5).unwrap();
         assert_eq!(q.pop_timeout(t), Pop::Item(5));
@@ -218,6 +276,7 @@ mod tests {
         assert_eq!(q.pop_timeout(t), Pop::Item(6));
         assert_eq!(q.pop_timeout(t), Pop::Closed);
         assert_eq!(q.pop_timeout(t), Pop::Closed);
+        assert_eq!(q.parked(), (0, 0));
     }
 
     #[test]
@@ -261,8 +320,9 @@ mod tests {
             let q = Arc::clone(&q);
             std::thread::spawn(move || q.push_blocking(1).is_ok())
         };
-        // The producer must be parked until we pop.
-        std::thread::sleep(std::time::Duration::from_millis(5));
+        // The producer parks on the full queue until we pop.
+        await_parked(&q, 0, 1);
+        assert_eq!(q.len(), 1);
         assert_eq!(q.pop(), Some(0));
         assert!(producer.join().unwrap());
         assert_eq!(q.pop(), Some(1));
@@ -275,9 +335,94 @@ mod tests {
             let q = Arc::clone(&q);
             std::thread::spawn(move || q.pop())
         };
-        std::thread::sleep(std::time::Duration::from_millis(5));
+        await_parked(&q, 1, 0);
         q.close();
         assert_eq!(consumer.join().unwrap(), None);
+    }
+
+    #[test]
+    fn pop_wakes_on_push() {
+        let q = Arc::new(IngressQueue::new(4));
+        let consumer = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || q.pop())
+        };
+        await_parked(&q, 1, 0);
+        q.try_push(5u8).unwrap();
+        assert_eq!(consumer.join().unwrap(), Some(5));
+        assert_eq!(q.parked(), (0, 0));
+    }
+
+    #[test]
+    fn parked_writer_waits_for_the_low_watermark() {
+        let q = Arc::new(IngressQueue::new(4));
+        for i in 0..4u32 {
+            q.try_push(i).unwrap();
+        }
+        let producer = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || (4..12u32).all(|i| q.push_blocking(i).is_ok()))
+        };
+        await_parked(&q, 0, 1);
+        // Above the watermark (len > capacity / 2) a pop frees a slot
+        // but wakes nobody: the writer stays parked and pushes nothing.
+        assert_eq!(q.pop(), Some(0));
+        for _ in 0..1000 {
+            std::thread::yield_now();
+            assert_eq!((q.len(), q.parked()), (3, (0, 1)));
+        }
+        // The pop that reaches the watermark releases it; every item
+        // then arrives once, in order.
+        let drained: Vec<u32> = (0..11).filter_map(|_| q.pop()).collect();
+        assert_eq!(drained, (1..12).collect::<Vec<_>>());
+        assert!(producer.join().unwrap());
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn close_releases_a_parked_writer() {
+        let q = Arc::new(IngressQueue::new(1));
+        q.try_push(0u8).unwrap();
+        let producer = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || q.push_blocking(9))
+        };
+        await_parked(&q, 0, 1);
+        q.close();
+        assert_eq!(producer.join().unwrap(), Err(PushError::Closed(9)));
+        assert_eq!(q.pop(), Some(0));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn blocking_producers_never_lose_or_reorder_items() {
+        const PRODUCERS: usize = 4;
+        const ITEMS: u32 = 10_000;
+        let q = IngressQueue::new(2);
+        let mut next = [0u32; PRODUCERS];
+        std::thread::scope(|scope| {
+            for producer in 0..PRODUCERS {
+                let q = &q;
+                scope.spawn(move || {
+                    for seq in 0..ITEMS {
+                        q.push_blocking((producer, seq)).unwrap();
+                    }
+                });
+            }
+            for _ in 0..PRODUCERS * ITEMS as usize {
+                // A lost wake-up shows as a stall; fail instead of hang
+                // (closing releases any producer still parked).
+                let Pop::Item((producer, seq)) = q.pop_timeout(Duration::from_secs(10)) else {
+                    q.close();
+                    panic!("consumer stalled after {next:?}");
+                };
+                assert_eq!(seq, next[producer], "producer {producer} out of order");
+                next[producer] += 1;
+            }
+        });
+        assert_eq!(next, [ITEMS; PRODUCERS]);
+        assert_eq!(q.parked(), (0, 0));
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -81,3 +81,54 @@ fn help_prints_usage_and_exits_zero() {
         );
     }
 }
+
+/// A size that must be at least one, refused in every mode that takes it
+/// (the receiver role refuses before it binds a socket).
+fn assert_zero_refused(option: &str) {
+    let message = format!("{option} 0 is outside 1 or more");
+    for mode in [&["--loopback"][..], &["--fleet"], &["--role", "receiver"]] {
+        assert_refused(DAPD, &[mode, &[option, "0"]].concat(), &message);
+    }
+}
+
+#[test]
+fn zero_buffers_are_refused() {
+    assert_zero_refused("--buffers");
+}
+
+#[test]
+fn zero_shards_are_refused() {
+    assert_zero_refused("--shards");
+}
+
+#[test]
+fn zero_queue_depth_is_refused() {
+    assert_zero_refused("--queue-depth");
+}
+
+#[test]
+fn zero_senders_are_refused() {
+    assert_refused(
+        DAPD,
+        &["--fleet", "--senders", "0"],
+        "--senders 0 is outside 1 or more",
+    );
+}
+
+#[test]
+fn loss_above_one_is_refused() {
+    assert_refused(
+        DAPD,
+        &["--loopback", "--loss", "2"],
+        "--loss 2 is outside [0, 1]",
+    );
+}
+
+#[test]
+fn corruption_above_one_is_refused() {
+    assert_refused(
+        DAPD,
+        &["--loopback", "--corrupt", "2"],
+        "--corrupt 2 is outside [0, 1]",
+    );
+}
