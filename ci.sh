@@ -263,7 +263,9 @@ echo "== wirebench (the repository benchmark builds and replays correctly) =="
 # tests, and replay every workload once, briefly: the last stdout line
 # must report "correct":true (no round authenticates more reveals than
 # were sent, flood rounds stay inside the 1 - p^m soak envelope, and
-# every round on a corpus renders the same counters).
+# every round on a corpus renders the same counters) and "failed":0
+# (no datagram dropped at ingress, shed by the drain budget or lost to
+# a panicked round; see wirebench/README.md "Failure accounting").
 wirebench="cargo run --quiet --release --offline --manifest-path wirebench/Cargo.toml --"
 cargo build --release --offline --manifest-path wirebench/Cargo.toml
 cargo test -q --release --offline --manifest-path wirebench/Cargo.toml
@@ -272,6 +274,11 @@ for workload in flood fleet adaptive; do
         > "target/wirebench_$workload.txt" 2> "target/wirebench_$workload.log" || true
     tail -n 1 "target/wirebench_$workload.txt" | grep -q '"correct":true' || {
         echo "wirebench $workload did not replay correctly:" >&2
+        tail -n 1 "target/wirebench_$workload.txt" >&2
+        exit 1
+    }
+    tail -n 1 "target/wirebench_$workload.txt" | grep -q '"failed":0,' || {
+        echo "wirebench $workload failed operations:" >&2
         tail -n 1 "target/wirebench_$workload.txt" >&2
         exit 1
     }

@@ -174,12 +174,13 @@ impl DapMultiReceiver {
             return Ok(AnnounceOutcome::Unsafe);
         }
         self.stats.announces_offered += 1;
-        let micro = micro_mac_prepared(&self.local_key, &announce.mac);
-        let outcome = self.pool.offer(
-            Entry {
+        // Same keep-first order as `DapReceiver`: the μMAC is computed
+        // only for a copy the shared pool keeps.
+        let outcome = self.pool.offer_with(
+            || Entry {
                 sender,
                 index: announce.index,
-                micro,
+                micro: micro_mac_prepared(&self.local_key, &announce.mac),
             },
             rng,
         );

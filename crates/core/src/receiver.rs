@@ -4,10 +4,13 @@
 //!
 //! 1. **safe-packet test** — discard if the key for `i` may already be
 //!    public (`i + d < x` under worst-case skew);
-//! 2. compute `μMAC_i = MAC_{K_recv}(MAC_i)` (24 bits; `K_recv` never
-//!    leaves the node) and offer `(μMAC_i, i)` — 56 bits — to the
-//!    `m`-buffer reservoir: the `k`-th copy of the receiving interval is
-//!    kept with probability `m/k`.
+//! 2. offer the copy to interval `i`'s `m`-buffer reservoir: the `k`-th
+//!    copy of the receiving interval is kept with probability `m/k`. Only
+//!    a kept copy computes `μMAC_i = MAC_{K_recv}(MAC_i)` (24 bits;
+//!    `K_recv` never leaves the node) and stores `(μMAC_i, i)` — 56 bits.
+//!    The keep decision reads the offer count and the RNG, never the
+//!    copy, so hashing after it changes no draw, verdict or entry; a
+//!    dropped copy simply skips its two SHA-256 compressions.
 //!
 //! Processing a reveal `(M_i, K_i, i)` one interval later:
 //!
@@ -303,13 +306,14 @@ impl DapReceiver {
             return AnnounceOutcome::Unsafe;
         }
 
-        let micro = micro_mac_prepared(&self.local_key, &announce.mac);
         self.stats.announces_offered += 1;
         let pool = self
             .pools
             .entry(announce.index)
             .or_insert_with(|| ReservoirBuffer::new(self.buffers));
-        let outcome = pool.offer(micro, rng);
+        // Keep first, hash second: the sampling coin never looks at the
+        // copy, so only a kept copy pays for its μMAC.
+        let outcome = pool.offer_with(|| micro_mac_prepared(&self.local_key, &announce.mac), rng);
         if outcome.is_stored() {
             self.stats.announces_stored += 1;
             AnnounceOutcome::Stored

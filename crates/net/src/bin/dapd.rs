@@ -55,7 +55,8 @@
 //! Options are strict: an unknown option, a missing value, a stray
 //! argument, or a value that does not parse or lies out of range (a
 //! flood share outside `[0, 1)`, a loss or corruption probability
-//! outside `[0, 1]`, zero buffers, shards, queue depth or senders)
+//! outside `[0, 1]`, zero buffers, shards, queue depth, senders, UDP
+//! sender copies, flood rate or tick length)
 //! prints usage and exits 2 before any work starts; `--help` prints
 //! usage and exits 0.
 
@@ -103,7 +104,8 @@ const SYNTAX: Syntax<'static> = Syntax {
        dapd --role flooder --target ADDR [--flood P] [--rate FPS]
                  [--duration-ms T] [--seed N] [--tick-us U] [--spoof ID]
 Flood shares P, P2 lie in [0, 1); loss L and corruption C in [0, 1];
---buffers, --shards, --queue-depth and --senders take 1 or more.",
+--buffers, --shards, --queue-depth, --senders, --rate, --tick-us and the
+sender role's --copies take 1 or more.",
 };
 
 /// Stores a Ctrl-C so the receiver loop can drain, snapshot and exit
@@ -555,8 +557,8 @@ fn assert_soak(spec: &LoopbackSpec, report: &dap_net::loopback::LoopbackReport, 
 fn run_sender(opts: &Opts) -> Result<(), OptsError> {
     let seed: u64 = opts.get_or("seed", 2016)?;
     let intervals: u64 = opts.get_or("intervals", 60)?;
-    let copies: u32 = opts.get_or("copies", 2)?;
-    let tick_us: u64 = opts.get_or("tick-us", 1000)?;
+    let copies: u32 = opts.count("copies", 2)?;
+    let tick_us: u64 = opts.count("tick-us", 1000)?;
     let target = opts.require("target", "--target host:port for the sender")?;
     let bind = opts.get("bind").unwrap_or("127.0.0.1:0");
 
@@ -591,7 +593,7 @@ fn run_receiver(opts: &Opts) -> Result<(), OptsError> {
     let shards: usize = opts.count("shards", 4)?;
     let queue_depth: usize = opts.count("queue-depth", 1024)?;
     let duration_ms: u64 = opts.get_or("duration-ms", 10_000)?;
-    let tick_us: u64 = opts.get_or("tick-us", 1000)?;
+    let tick_us: u64 = opts.count("tick-us", 1000)?;
     let bind = opts.require("bind", "--bind host:port for the receiver")?;
     let trace_depth = trace_depth(opts)?;
     let span_every = span_every(opts)?;
@@ -684,9 +686,9 @@ fn run_receiver(opts: &Opts) -> Result<(), OptsError> {
 fn run_flooder(opts: &Opts) -> Result<(), OptsError> {
     let seed: u64 = opts.get_or("seed", 666)?;
     let p = opts.share("flood")?.unwrap_or(0.9);
-    let rate: u64 = opts.get_or("rate", 2000)?;
+    let rate: u64 = opts.count("rate", 2000)?;
     let duration_ms: u64 = opts.get_or("duration-ms", 10_000)?;
-    let tick_us: u64 = opts.get_or("tick-us", 1000)?;
+    let tick_us: u64 = opts.count("tick-us", 1000)?;
     let target = opts.require("target", "--target host:port for the flooder")?;
 
     let transport = UdpTransport::sender("127.0.0.1:0", target).expect("bind flooder socket");

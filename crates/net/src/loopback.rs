@@ -312,7 +312,9 @@ pub fn run_loopback_with(
     if let Some(emitter) = ctrl_trace {
         trace.extend(emitter.into_sink().into_records());
     }
-    dap_obs::sort_records(&mut trace);
+    // The wire and control sources sit past the pool's, so appending
+    // their streams keeps the canonical order.
+    debug_assert!(dap_obs::is_canonical(&trace), "trace sources out of order");
     let metrics = registry.counters().clone();
     let auth_rate = metrics
         .ratio(keys::NET_REVEAL_AUTH, keys::NET_REVEAL_TOTAL)

@@ -857,7 +857,7 @@ pub struct PoolReport {
 /// `N` verifier threads behind bounded ingress queues.
 pub struct ReceiverPool {
     handle: PoolHandle,
-    workers: Vec<JoinHandle<(Registry, Vec<TraceRecord>)>>,
+    workers: Vec<JoinHandle<(Registry, RingSink)>>,
 }
 
 impl ReceiverPool {
@@ -979,31 +979,36 @@ impl ReceiverPool {
             queue.close();
         }
         let mut registry = Registry::new();
-        let mut shards = Vec::with_capacity(self.workers.len());
+        let mut rings = Vec::with_capacity(self.workers.len());
         for worker in self.workers {
-            let (shard_registry, shard_trace) = worker.join().expect("shard worker panicked");
+            let (shard_registry, ring) = worker.join().expect("shard worker panicked");
             registry.merge(&shard_registry);
-            shards.push(shard_trace);
+            rings.push(ring);
         }
-        // One exact-size allocation for the combined trace: a forensic
-        // capture concatenates six-figure per-shard rings, and growing
-        // into that incrementally doubles the copy traffic.
-        let reader_len = self.handle.reader_trace.as_ref().map_or(0, |r| {
-            r.lock()
-                .expect("reader trace poisoned")
-                .sink()
-                .records()
-                .count()
-        });
-        let mut trace = Vec::with_capacity(shards.iter().map(Vec::len).sum::<usize>() + reader_len);
-        for mut shard_trace in shards {
-            trace.append(&mut shard_trace);
-        }
-        if let Some(reader) = &self.handle.reader_trace {
-            let reader = reader.lock().expect("reader trace poisoned");
-            trace.extend(reader.sink().records().cloned());
-        }
-        dap_obs::sort_records(&mut trace);
+        // One exact-size allocation and one copy for the combined trace:
+        // a forensic capture concatenates six-figure per-shard rings.
+        // Each ring holds one source oldest first and the sources ascend
+        // (shards 0..n, then the reader), so the concatenation is already
+        // in canonical `(source, seq)` order and needs no sort pass.
+        let trace = {
+            let reader = self
+                .handle
+                .reader_trace
+                .as_ref()
+                .map(|r| r.lock().expect("reader trace poisoned"));
+            let sinks: Vec<&RingSink> = rings
+                .iter()
+                .chain(reader.as_deref().map(TraceEmitter::sink))
+                .collect();
+            let mut trace = Vec::with_capacity(sinks.iter().map(|ring| ring.len()).sum());
+            for ring in sinks {
+                let (older, newer) = ring.as_slices();
+                trace.extend_from_slice(older);
+                trace.extend_from_slice(newer);
+            }
+            trace
+        };
+        debug_assert!(dap_obs::is_canonical(&trace), "ring sources out of order");
         let full = self.handle.live.dropped_full();
         let closed = self.handle.live.dropped_closed();
         if full > 0 {
@@ -1047,7 +1052,7 @@ fn run_shard<V: FrameVerifier>(
     rng: &mut SimRng,
     live: &LiveCounters,
     obs: &PoolObs,
-) -> (Registry, Vec<TraceRecord>) {
+) -> (Registry, RingSink) {
     let mut registry = Registry::new();
     let mut trace = TraceEmitter::new(shard as u32, RingSink::new(obs.trace_depth));
     let mut datagrams = 0u64;
@@ -1180,7 +1185,7 @@ fn run_shard<V: FrameVerifier>(
     if let Some(shared) = &obs.publish {
         shared.publish(shard, &registry);
     }
-    (registry, trace.into_sink().into_records())
+    (registry, trace.into_sink())
 }
 
 /// The `net.stage.*` registry keys in [`SpanStage::ALL`] order.

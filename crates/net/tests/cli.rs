@@ -132,3 +132,36 @@ fn corruption_above_one_is_refused() {
         "--corrupt 2 is outside [0, 1]",
     );
 }
+
+/// A UDP role's option that must be at least one. Target and bind are
+/// given, so the zero is the only thing on the line to refuse.
+fn assert_udp_zero_refused(role: &str, option: &str) {
+    let args = [
+        "--role",
+        role,
+        "--target",
+        "127.0.0.1:9",
+        "--bind",
+        "127.0.0.1:0",
+        option,
+        "0",
+    ];
+    assert_refused(DAPD, &args, &format!("{option} 0 is outside 1 or more"));
+}
+
+#[test]
+fn zero_sender_copies_are_refused() {
+    assert_udp_zero_refused("sender", "--copies");
+}
+
+#[test]
+fn zero_tick_is_refused_on_every_udp_role() {
+    for role in ["sender", "flooder", "receiver"] {
+        assert_udp_zero_refused(role, "--tick-us");
+    }
+}
+
+#[test]
+fn zero_flood_rate_is_refused() {
+    assert_udp_zero_refused("flooder", "--rate");
+}

@@ -57,6 +57,6 @@ pub use parse::{parse_record_line, parse_trace, ParsedTrace, TraceHeader, TraceP
 pub use span::{span_id, SpanStage, SpanTimer};
 pub use time::{ManualTime, Stopwatch, TimeSource};
 pub use trace::{
-    header_line, render_jsonl, sort_records, JsonlSink, NullSink, RingSink, TraceEmitter,
-    TraceEvent, TraceRecord, TraceSink,
+    header_line, is_canonical, render_jsonl, sort_records, JsonlSink, NullSink, RingSink,
+    TraceEmitter, TraceEvent, TraceRecord, TraceSink,
 };

@@ -351,13 +351,30 @@ impl RingSink {
         self.shed
     }
 
-    /// Records currently retained, oldest first. A ring that has not
-    /// wrapped has `head == 0`, so the chain's first arm is the whole
-    /// store and the second is empty.
+    /// Records currently retained.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// `true` when nothing is retained.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// Records currently retained, oldest first.
     pub fn records(&self) -> impl Iterator<Item = &TraceRecord> {
-        self.records[self.head..]
-            .iter()
-            .chain(&self.records[..self.head])
+        let (older, newer) = self.as_slices();
+        older.iter().chain(newer)
+    }
+
+    /// Records currently retained, oldest first, as the ring's two
+    /// contiguous runs. A ring that has not wrapped has `head == 0`, so
+    /// the first run is the whole store and the second is empty.
+    #[must_use]
+    pub fn as_slices(&self) -> (&[TraceRecord], &[TraceRecord]) {
+        (&self.records[self.head..], &self.records[..self.head])
     }
 
     /// Consumes the ring, returning retained records oldest first.
@@ -512,6 +529,14 @@ pub fn sort_records(records: &mut [TraceRecord]) {
     records.sort_unstable_by_key(|r| (r.source, r.seq));
 }
 
+/// Whether `records` is already in [`sort_records`]'s order. Drivers
+/// that concatenate per-source streams in ascending source order get
+/// that order by construction and assert it instead of paying a sort.
+#[must_use]
+pub fn is_canonical(records: &[TraceRecord]) -> bool {
+    records.is_sorted_by_key(|r| (r.source, r.seq))
+}
+
 /// Renders records as JSONL (one line each, trailing newline after the
 /// last when non-empty).
 #[must_use]
@@ -566,18 +591,25 @@ mod tests {
         assert_eq!(ring.shed(), 3);
         let kept: Vec<u64> = ring.records().map(|r| r.seq).collect();
         assert_eq!(kept, vec![3, 4]);
+        // Wrapped: the oldest record sits behind the head.
+        let (older, newer) = ring.as_slices();
+        assert_eq!((older[0].seq, newer[0].seq), (3, 4));
+        assert_eq!(ring.len(), 2);
         assert_eq!(ring.clone().into_records().len(), 2);
         assert_eq!(ring.into_records()[0].seq, 3);
         let mut zero = RingSink::new(0);
         zero.record(sample(0, 0));
         assert_eq!(zero.shed(), 1);
+        assert!(zero.is_empty());
         assert_eq!(zero.records().count(), 0);
     }
 
     #[test]
     fn sort_is_total_by_source_then_seq() {
         let mut records = vec![sample(1, 0), sample(0, 1), sample(0, 0), sample(1, 1)];
+        assert!(!is_canonical(&records));
         sort_records(&mut records);
+        assert!(is_canonical(&records));
         let order: Vec<(u32, u64)> = records.iter().map(|r| (r.source, r.seq)).collect();
         assert_eq!(order, vec![(0, 0), (0, 1), (1, 0), (1, 1)]);
     }

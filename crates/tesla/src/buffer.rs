@@ -80,16 +80,28 @@ impl<T> ReservoirBuffer<T> {
 
     /// Offers one copy; see the module docs for the keep probability.
     pub fn offer(&mut self, item: T, rng: &mut SimRng) -> OfferOutcome {
+        self.offer_with(|| item, rng)
+    }
+
+    /// [`offer`](Self::offer) with the copy built only if it is kept.
+    ///
+    /// The keep decision depends on the offer count and `rng` alone, so
+    /// the draws, the outcome and the stored entries are exactly those
+    /// of `offer(item(), rng)`; `item` runs once on
+    /// [`OfferOutcome::StoredEmpty`] / [`OfferOutcome::StoredReplaced`]
+    /// and never on [`OfferOutcome::Dropped`]. DAP uses this to skip the
+    /// μMAC of every copy the sampling coin discards.
+    pub fn offer_with(&mut self, item: impl FnOnce() -> T, rng: &mut SimRng) -> OfferOutcome {
         self.offered += 1;
         if self.entries.len() < self.capacity {
-            self.entries.push(item);
+            self.entries.push(item());
             return OfferOutcome::StoredEmpty;
         }
         // k-th copy survives with probability m/k.
         let keep = rng.below(self.offered) < self.capacity as u64;
         if keep {
             let victim = rng.below(self.capacity as u64) as usize;
-            self.entries[victim] = item;
+            self.entries[victim] = item();
             OfferOutcome::StoredReplaced
         } else {
             OfferOutcome::Dropped

@@ -100,6 +100,60 @@ fn reservoir_order_independence() {
     });
 }
 
+/// `offer_with` is `offer` with the copy built lazily: on the same seed
+/// and the same offer sequence (capacity changes and extractions mixed
+/// in) both pools report the same outcomes, hold the same entries, count
+/// the same offers and leave the RNG at the same point. The builder runs
+/// exactly once per stored copy and never for a dropped one.
+#[test]
+fn lazy_offer_matches_eager_offer() {
+    check("lazy_offer_matches_eager_offer", |g| {
+        let seed = g.any_u64();
+        let m = g.usize_in(1..9);
+        let steps = g.usize_in(1..200);
+        let mut eager_rng = SimRng::new(seed);
+        let mut lazy_rng = SimRng::new(seed);
+        let mut eager = ReservoirBuffer::new(m);
+        let mut lazy = ReservoirBuffer::new(m);
+        let mut built = 0u64;
+        let mut stored = 0u64;
+        for step in 0..steps as u64 {
+            match g.u32_in(0..20) {
+                0 => {
+                    let capacity = g.usize_in(1..9);
+                    eager.set_capacity(capacity);
+                    lazy.set_capacity(capacity);
+                }
+                1 => {
+                    let parity = g.u64_in(0..2);
+                    let taken = eager.extract(|&x| x % 2 == parity);
+                    assert_eq!(lazy.extract(|&x| x % 2 == parity), taken);
+                }
+                2 => {
+                    eager.reset_counter();
+                    lazy.reset_counter();
+                }
+                _ => {
+                    let outcome = eager.offer(step, &mut eager_rng);
+                    let lazy_outcome = lazy.offer_with(
+                        || {
+                            built += 1;
+                            step
+                        },
+                        &mut lazy_rng,
+                    );
+                    assert_eq!(lazy_outcome, outcome, "step {step}");
+                    stored += u64::from(outcome.is_stored());
+                    assert_eq!(built, stored, "builder runs once per stored copy");
+                }
+            }
+            assert_eq!(lazy.offered(), eager.offered());
+            assert!(lazy.iter().eq(eager.iter()), "entries diverged at {step}");
+        }
+        assert_eq!(lazy_rng.next_u64(), eager_rng.next_u64(), "rng streams");
+    });
+}
+
 /// Multi-level index arithmetic round-trips for any geometry.
 #[test]
 fn multilevel_index_roundtrip() {

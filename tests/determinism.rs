@@ -8,6 +8,9 @@ use crowdsense_dap::crypto::{Domain, KeyChain};
 use crowdsense_dap::dap::sim::{run_campaign, CampaignSpec};
 use crowdsense_dap::game::ess::predict_ess;
 use crowdsense_dap::game::DosGameParams;
+use crowdsense_dap::net::fleet::{run_fleet, FleetSpec};
+use crowdsense_dap::net::loopback::{run_loopback, LoopbackSpec};
+use crowdsense_dap::simnet::{keys, Metrics};
 
 #[test]
 fn golden_key_chain_commitment() {
@@ -110,4 +113,37 @@ fn golden_interior_ess() {
         out.point
     );
     assert_eq!(out.steps, Some(764));
+}
+
+// The pool goldens below pin what the multi-threaded receiver pool
+// decides, not just that two runs of one build agree: reveals
+// authenticated, reveals seen, announce copies kept and copies the
+// reservoir sampled out. Any change to the receiver's RNG draws, the
+// reservoir, shard routing or the flooder moves them.
+
+/// `[auth, reveals, stored, sampled_out]` of a pool run.
+fn pool_verdicts(metrics: &Metrics) -> [u64; 4] {
+    [
+        metrics.get(keys::NET_REVEAL_AUTH),
+        metrics.get(keys::NET_REVEAL_TOTAL),
+        metrics.get(keys::NET_ANNOUNCE_STORED),
+        metrics.get(keys::NET_ANNOUNCE_SAMPLED_OUT),
+    ]
+}
+
+#[test]
+fn golden_loopback_pool_verdicts() {
+    let report = run_loopback(&LoopbackSpec::default());
+    assert_eq!(pool_verdicts(&report.metrics), [147, 400, 5192, 10808]);
+}
+
+#[test]
+fn golden_fleet_pool_verdicts() {
+    let report = run_fleet(&FleetSpec {
+        seed: 20_161_014,
+        senders: 32,
+        intervals: 6,
+        ..FleetSpec::default()
+    });
+    assert_eq!(pool_verdicts(&report.metrics), [125, 192, 1941, 1899]);
 }
