@@ -219,8 +219,11 @@ echo "== batch gate (lane-parallel reveal-verify >= 2x scalar) =="
 # The batched lanes amortize the per-interval chain walk and push the
 # HMAC re-key + MAC through the multi-lane SHA-256 kernels; the whole
 # point is >= 2x the sequential lane on the same 2048-reveal workload
-# (see DESIGN.md §12). Each lane's name is matched with its trailing
-# comma so dap_reveal_verify does not also match its _batched sibling.
+# (see DESIGN.md §12). Both sides of each pair run on the software
+# kernels (portable rounds + SIMD lanes), so the ratio measures the
+# batching even on a SHA-NI host. Each lane's name is matched with its
+# trailing comma so dap_reveal_verify does not also match its _batched
+# sibling.
 for pair in "dap_reveal_verify dap_reveal_verify_batched" \
             "teslapp_reveal_verify teslapp_reveal_verify_batched"; do
     set -- $pair
@@ -235,12 +238,38 @@ for pair in "dap_reveal_verify dap_reveal_verify_batched" \
     }
 done
 
+echo "== SHA-NI gate (production reveal-verify >= 2x the software kernels) =="
+# DESIGN §7: on a CPU with the SHA extensions every SHA-256 block runs
+# on the hardware kernel. dap_reveal_verify_native is the scalar
+# reveal-verify lane on the production kernel; it must record
+# "sha-ni" and run >= 2x its software-kernel twin dap_reveal_verify,
+# or the real protocol path has silently fallen back to software.
+if grep -qw sha_ni /proc/cpuinfo 2>/dev/null; then
+    native_lane=$(grep '"name":"dap_reveal_verify_native",' target/BENCH_net.json)
+    echo "$native_lane" | grep -q '"kernel":"sha-ni"' || {
+        echo "CPU reports sha_ni but dap_reveal_verify_native did not run on it:" >&2
+        echo "$native_lane" >&2
+        exit 1
+    }
+    native=$(echo "$native_lane" | grep -o '"frames_per_sec":[0-9.]*' | cut -d: -f2)
+    software=$(grep '"name":"dap_reveal_verify",' target/BENCH_net.json \
+        | grep -o '"frames_per_sec":[0-9.]*' | cut -d: -f2)
+    test -n "$native" && test -n "$software"
+    echo "$native $software" | awk '{ exit !($1 >= 2.0 * $2) }' || {
+        echo "dap_reveal_verify_native at $native frames/s is < 2x the software kernels at $software frames/s" >&2
+        exit 1
+    }
+else
+    echo "  SHA-NI gate not exercised: this CPU does not report sha_ni"
+fi
+
 echo "== crypto bench regression gate (vs committed BENCH_crypto.json) =="
 # The perf smoke above wrote target/BENCH_crypto.json. Every lane in
 # the committed baseline must keep >= 0.8x its committed speedup ratio
 # in the fresh run — a >20% regression on any pre-existing crypto lane
 # fails CI. Ratios (not raw ns) make this robust to slow boxes; lanes
-# the host cannot produce (e.g. compress_x8 without AVX2) are skipped.
+# the host cannot produce (e.g. compress_x8 without AVX2,
+# compress_sha_ni without the SHA extensions) are skipped.
 while IFS= read -r line; do
     case "$line" in *'"name"'*) ;; *) continue ;; esac
     name=$(echo "$line" | grep -o '"name":"[^"]*"' | cut -d'"' -f4)

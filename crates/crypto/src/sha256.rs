@@ -237,8 +237,21 @@ impl Sha256 {
 
     /// Applies the SHA-256 compression function to `state` for one
     /// 64-byte `block` — the pure fast path behind midstate caching.
+    ///
+    /// Runs the host's fastest single-block kernel (SHA-NI where the CPU
+    /// has it, see [`crate::lanes::block_kernel`]); every kernel is
+    /// bit-identical to [`Sha256::compress_portable`].
     #[must_use]
+    #[inline]
     pub fn compress_from(state: &[u32; 8], block: &[u8; BLOCK_LEN]) -> [u32; 8] {
+        crate::lanes::compress_block(state, block)
+    }
+
+    /// The portable compression function: the FIPS 180-4 rounds in
+    /// plain Rust, on any host. This is the reference every hardware
+    /// kernel is tested against.
+    #[must_use]
+    pub fn compress_portable(state: &[u32; 8], block: &[u8; BLOCK_LEN]) -> [u32; 8] {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);

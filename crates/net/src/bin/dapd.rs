@@ -105,7 +105,9 @@ const SYNTAX: Syntax<'static> = Syntax {
                  [--duration-ms T] [--seed N] [--tick-us U] [--spoof ID]
 Flood shares P, P2 lie in [0, 1); loss L and corruption C in [0, 1];
 --buffers, --shards, --queue-depth, --senders, --rate, --tick-us and the
-sender role's --copies take 1 or more.",
+sender role's --copies take 1 or more. --intervals is capped by 256 MiB
+of chain keys: at most 26843543 for one chain, and a fleet's senders
+share the cap.",
 };
 
 /// Stores a Ctrl-C so the receiver loop can drain, snapshot and exit
@@ -224,7 +226,7 @@ fn run_loopback_mode(opts: &Opts) -> Result<(), OptsError> {
     let tolerance = opts.get_or("tolerance", 0.08)?;
     let spec = LoopbackSpec {
         seed: opts.get_or("seed", 2016)?,
-        intervals: opts.get_or("intervals", 400)?,
+        intervals: opts.intervals(400, 1)?,
         buffers: opts.count("buffers", 4)?,
         shards: opts.count("shards", 4)?,
         queue_depth: opts.count("queue-depth", 256)?,
@@ -325,10 +327,11 @@ fn assert_posture_stable(m: &dap_simnet::Metrics) {
 fn run_fleet_mode(opts: &Opts) -> Result<(), OptsError> {
     let tolerance = opts.get_or("tolerance", 0.08)?;
     let pinned_floor: Option<u64> = opts.parsed("assert-pinned-floor")?;
+    let senders = opts.count("senders", 64)?;
     let spec = FleetSpec {
         seed: opts.get_or("seed", 2016)?,
-        senders: opts.count("senders", 64)?,
-        intervals: opts.get_or("intervals", 8)?,
+        senders,
+        intervals: opts.intervals(8, senders)?,
         buffers: opts.count("buffers", 4)?,
         shards: opts.count("shards", 4)?,
         queue_depth: opts.count("queue-depth", 4096)?,
@@ -556,13 +559,13 @@ fn assert_soak(spec: &LoopbackSpec, report: &dap_net::loopback::LoopbackReport, 
 
 fn run_sender(opts: &Opts) -> Result<(), OptsError> {
     let seed: u64 = opts.get_or("seed", 2016)?;
-    let intervals: u64 = opts.get_or("intervals", 60)?;
+    let intervals = opts.intervals(60, 1)?;
     let copies: u32 = opts.count("copies", 2)?;
     let tick_us: u64 = opts.count("tick-us", 1000)?;
     let target = opts.require("target", "--target host:port for the sender")?;
     let bind = opts.get("bind").unwrap_or("127.0.0.1:0");
 
-    let chain_len = usize::try_from(intervals).expect("interval count") + 2;
+    let chain_len = usize::try_from(intervals + 2).expect("bounded by the chain ceiling");
     let sender = DapSender::new(&seed.to_be_bytes(), chain_len, udp_params(8));
     let transport = UdpTransport::sender(bind, target).expect("bind sender socket");
     let clock = RealClock::new(Duration::from_micros(tick_us));
@@ -588,7 +591,7 @@ fn run_sender(opts: &Opts) -> Result<(), OptsError> {
 
 fn run_receiver(opts: &Opts) -> Result<(), OptsError> {
     let seed: u64 = opts.get_or("seed", 2016)?;
-    let intervals: u64 = opts.get_or("intervals", 60)?;
+    let intervals = opts.intervals(60, 1)?;
     let buffers: usize = opts.count("buffers", 8)?;
     let shards: usize = opts.count("shards", 4)?;
     let queue_depth: usize = opts.count("queue-depth", 1024)?;
@@ -604,7 +607,7 @@ fn run_receiver(opts: &Opts) -> Result<(), OptsError> {
     // stand-in for out-of-band bootstrap). The chain commitment is the
     // *end* of the chain, so both sides must agree on `--intervals` too
     // — a different chain length is a different commitment.
-    let chain_len = usize::try_from(intervals).expect("interval count") + 2;
+    let chain_len = usize::try_from(intervals + 2).expect("bounded by the chain ceiling");
     let bootstrap = DapSender::new(&seed.to_be_bytes(), chain_len, udp_params(buffers)).bootstrap();
     let mut transport =
         UdpTransport::receiver(bind, Duration::from_millis(20)).expect("bind receiver socket");
@@ -690,6 +693,9 @@ fn run_flooder(opts: &Opts) -> Result<(), OptsError> {
     let duration_ms: u64 = opts.get_or("duration-ms", 10_000)?;
     let tick_us: u64 = opts.count("tick-us", 1000)?;
     let target = opts.require("target", "--target host:port for the flooder")?;
+    // The flooder derives no chain, but an --intervals past the ceiling
+    // on a shared command line is refused here as on the other roles.
+    opts.intervals(0, 1)?;
 
     let transport = UdpTransport::sender("127.0.0.1:0", target).expect("bind flooder socket");
     let clock = RealClock::new(Duration::from_micros(tick_us));

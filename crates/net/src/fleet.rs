@@ -28,7 +28,7 @@ use dap_core::{
 };
 use dap_crypto::oneway::Domain;
 use dap_crypto::KeyChain;
-use dap_obs::{TimeSource, TraceRecord};
+use dap_obs::{TimeSource, TraceRecord, VerifyOutcome};
 use dap_simnet::{keys, ChannelModel, Metrics, Registry, SimDuration, SimRng, SimTime};
 
 use crate::adversary::{AdversaryClass, AdversaryEmit, AdversaryPlan, PostureView};
@@ -357,7 +357,7 @@ impl FrameVerifier for FleetShard {
         }) else {
             registry.incr(keys::NET_SESSION_UNKNOWN);
             return FrameVerdict {
-                outcome: "unknown_sender",
+                outcome: VerifyOutcome::UnknownSender,
                 interval,
                 buffer: None,
                 key_reveal: false,
@@ -377,11 +377,17 @@ impl FrameVerifier for FleetShard {
                 use dap_core::AnnounceOutcome;
                 let announce = receiver.on_announce(a, at, rng);
                 let (key, outcome, kept) = match announce {
-                    AnnounceOutcome::Stored => (keys::NET_ANNOUNCE_STORED, "stored", true),
-                    AnnounceOutcome::Dropped => {
-                        (keys::NET_ANNOUNCE_SAMPLED_OUT, "sampled_out", false)
+                    AnnounceOutcome::Stored => {
+                        (keys::NET_ANNOUNCE_STORED, VerifyOutcome::Stored, true)
                     }
-                    AnnounceOutcome::Unsafe => (keys::NET_ANNOUNCE_UNSAFE, "unsafe", false),
+                    AnnounceOutcome::Dropped => (
+                        keys::NET_ANNOUNCE_SAMPLED_OUT,
+                        VerifyOutcome::SampledOut,
+                        false,
+                    ),
+                    AnnounceOutcome::Unsafe => {
+                        (keys::NET_ANNOUNCE_UNSAFE, VerifyOutcome::Unsafe, false)
+                    }
                 };
                 registry.incr(key);
                 let buffer = (announce != AnnounceOutcome::Unsafe).then(|| BufferNote {
@@ -415,23 +421,26 @@ impl FrameVerifier for FleetShard {
                 let (key, outcome, attempt, success) = match reveal_outcome {
                     RevealOutcome::Authenticated { .. } => {
                         live.count_authenticated();
-                        (keys::NET_REVEAL_AUTH, "auth", true, true)
+                        (keys::NET_REVEAL_AUTH, VerifyOutcome::Auth, true, true)
                     }
                     RevealOutcome::WeakRejected { .. } => (
                         keys::NET_REVEAL_WEAK_REJECTED,
-                        "weak_rejected",
+                        VerifyOutcome::WeakRejected,
                         false,
                         false,
                     ),
                     RevealOutcome::StrongRejected { .. } => (
                         keys::NET_REVEAL_STRONG_REJECTED,
-                        "strong_rejected",
+                        VerifyOutcome::StrongRejected,
                         true,
                         false,
                     ),
-                    RevealOutcome::NoCandidate { .. } => {
-                        (keys::NET_REVEAL_NO_CANDIDATE, "no_candidate", false, false)
-                    }
+                    RevealOutcome::NoCandidate { .. } => (
+                        keys::NET_REVEAL_NO_CANDIDATE,
+                        VerifyOutcome::NoCandidate,
+                        false,
+                        false,
+                    ),
                 };
                 registry.incr(key);
                 if attempt {

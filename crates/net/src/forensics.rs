@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
-use dap_obs::{ParsedTrace, TraceEvent, TraceRecord};
+use dap_obs::{ParsedTrace, TraceEvent, TraceRecord, VerifyOutcome};
 use dap_simnet::Samples;
 
 /// One broken invariant, pointing at the 1-indexed JSONL line of the
@@ -67,7 +67,7 @@ struct SourceState {
     last_estimate_epoch: Option<u64>,
     /// Outcome and interval of the most recent `VerifyEnd`, which a
     /// following `FrameSpan` must agree with.
-    last_verdict: Option<(&'static str, u64)>,
+    last_verdict: Option<(VerifyOutcome, u64)>,
 }
 
 /// One reconstructed reservoir session stream: the paper's offer
@@ -192,7 +192,7 @@ fn audit_record(
                     detail: format!("verify_end (interval {interval}) with no open verify_start"),
                 }),
             }
-            state.last_verdict = Some((outcome, *interval));
+            state.last_verdict = Some((*outcome, *interval));
         }
         TraceEvent::FrameSpan {
             interval, outcome, ..
@@ -612,7 +612,7 @@ mod tests {
                 seq0 + 2,
                 TraceEvent::VerifyEnd {
                     interval,
-                    outcome: "stored",
+                    outcome: VerifyOutcome::Stored,
                     elapsed_ns: 0,
                 },
             ),
@@ -657,7 +657,7 @@ mod tests {
                 2,
                 TraceEvent::VerifyEnd {
                     interval: 4,
-                    outcome: "stored",
+                    outcome: VerifyOutcome::Stored,
                     elapsed_ns: 0,
                 },
             ),
@@ -829,7 +829,7 @@ mod tests {
             TraceEvent::FrameSpan {
                 span: 256,
                 interval: 7,
-                outcome: "stored",
+                outcome: VerifyOutcome::Stored,
                 ingress_ns: 10,
                 queue_ns: 20,
                 decode_ns: 5,
@@ -859,7 +859,7 @@ mod tests {
                 0,
                 TraceEvent::VerifyEnd {
                     interval: 1,
-                    outcome: "auth",
+                    outcome: VerifyOutcome::Auth,
                     elapsed_ns: 0
                 }
             )

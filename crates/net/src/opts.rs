@@ -12,6 +12,21 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::str::FromStr;
 
+/// Bytes of key-chain storage one command line may ask a binary to
+/// derive. Every mode holds each sender's whole chain in memory, so
+/// this is what bounds `--intervals`.
+pub const CHAIN_MEMORY_BUDGET: usize = 256 << 20;
+
+/// Chain keys that fit in [`CHAIN_MEMORY_BUDGET`], summed over every
+/// chain a run derives.
+pub const MAX_CHAIN_KEYS: u64 =
+    (CHAIN_MEMORY_BUDGET / std::mem::size_of::<dap_crypto::Key>()) as u64;
+
+/// The `--intervals` ceiling for a run with one chain: every mode
+/// derives `intervals + 2` keys per sender (26 843 543 with 10-byte
+/// keys, about a month of 100 ms intervals).
+pub const MAX_INTERVALS: u64 = MAX_CHAIN_KEYS - 2;
+
 /// What a binary accepts on its command line.
 #[derive(Debug, Clone, Copy)]
 pub struct Syntax<'a> {
@@ -55,6 +70,16 @@ pub enum OptsError {
         /// The domain, for the message.
         domain: &'static str,
     },
+    /// A value above a resource ceiling (the chain-memory bound on
+    /// `--intervals`).
+    AboveCeiling {
+        /// The option name (without `--`).
+        key: String,
+        /// The raw value given.
+        raw: String,
+        /// The largest value accepted on this command line.
+        ceiling: u64,
+    },
     /// A required option or mode that was not given.
     Required(&'static str),
 }
@@ -69,6 +94,12 @@ impl fmt::Display for OptsError {
             Self::BadValue { key, raw } => write!(f, "--{key} got unparsable value {raw:?}"),
             Self::OutOfRange { key, raw, domain } => {
                 write!(f, "--{key} {raw} is outside {domain}")
+            }
+            Self::AboveCeiling { key, raw, ceiling } => {
+                write!(
+                    f,
+                    "--{key} {raw} is above the chain-memory ceiling {ceiling}"
+                )
             }
             Self::Required(what) => write!(f, "need {what}"),
         }
@@ -234,6 +265,30 @@ impl Opts {
         }
     }
 
+    /// `--intervals` (or `default`) for a run that derives `chains` key
+    /// chains of `intervals + 2` keys each, refused when they would not
+    /// fit in [`CHAIN_MEMORY_BUDGET`]. Checked before any derivation, so
+    /// a huge value costs nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`OptsError::BadValue`] when the value does not parse,
+    /// [`OptsError::AboveCeiling`] past the ceiling
+    /// ([`MAX_INTERVALS`] for one chain).
+    pub fn intervals(&self, default: u64, chains: u64) -> Result<u64, OptsError> {
+        let intervals = self.get_or("intervals", default)?;
+        let chains = chains.max(1);
+        if intervals.saturating_add(2).saturating_mul(chains) > MAX_CHAIN_KEYS {
+            let ceiling = (MAX_CHAIN_KEYS / chains).saturating_sub(2);
+            return Err(OptsError::AboveCeiling {
+                key: "intervals".into(),
+                raw: intervals.to_string(),
+                ceiling,
+            });
+        }
+        Ok(intervals)
+    }
+
     fn out_of_range(&self, key: &str, domain: &'static str) -> OptsError {
         OptsError::OutOfRange {
             key: key.to_string(),
@@ -277,6 +332,27 @@ impl Opts {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn intervals_are_bounded_by_chain_memory() {
+        let syntax = Syntax {
+            keys: "intervals",
+            ..SYNTAX
+        };
+        let at = |n: u64| syntax.parse(["--intervals".into(), n.to_string()]).unwrap();
+        assert_eq!(MAX_INTERVALS, 26_843_543);
+        assert_eq!(at(MAX_INTERVALS).intervals(60, 1), Ok(MAX_INTERVALS));
+        assert_eq!(Opts::default().intervals(60, 1), Ok(60));
+        for (n, chains) in [(MAX_INTERVALS + 1, 1), (u64::MAX, 1), (MAX_INTERVALS, 2)] {
+            let err = at(n).intervals(60, chains).unwrap_err();
+            assert!(matches!(err, OptsError::AboveCeiling { .. }), "{err}");
+            assert!(err.to_string().contains("chain-memory ceiling"), "{err}");
+        }
+        // Many chains share the budget; past MAX_CHAIN_KEYS / 2 chains
+        // not even a 0-interval run's two spare keys fit.
+        assert_eq!(at(0).intervals(60, MAX_CHAIN_KEYS).map_err(|_| ()), Err(()));
+        assert_eq!(at(0).intervals(60, MAX_CHAIN_KEYS / 2), Ok(0));
+    }
 
     const SYNTAX: Syntax<'static> = Syntax {
         flags: "loopback assert-soak",

@@ -43,7 +43,7 @@ use dap_core::{
 };
 use dap_obs::{
     span_id, Histogram, RingSink, SpanStage, SpanTimer, TimeSource, TraceEmitter, TraceEvent,
-    TraceRecord,
+    TraceRecord, VerifyOutcome,
 };
 use dap_simnet::{keys, Metrics, Registry, SimRng, SimTime};
 use dap_tesla::tesla::Bootstrap as TeslaBootstrap;
@@ -174,9 +174,8 @@ pub struct BufferNote {
 /// trace events without knowing protocol internals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameVerdict {
-    /// Outcome label (`"stored"`, `"auth"`, `"unsafe"`, …) for the
-    /// [`TraceEvent::VerifyEnd`] record.
-    pub outcome: &'static str,
+    /// The outcome the [`TraceEvent::VerifyEnd`] record carries.
+    pub outcome: VerifyOutcome,
     /// The interval index the frame claimed.
     pub interval: u64,
     /// Present when the frame went through reservoir sampling.
@@ -464,11 +463,17 @@ impl FrameVerifier for DapShard {
             DapMessage::Announce(a) => {
                 let announce = self.receiver.on_announce(a, at, rng);
                 let (key, outcome, kept) = match announce {
-                    AnnounceOutcome::Stored => (keys::NET_ANNOUNCE_STORED, "stored", true),
-                    AnnounceOutcome::Dropped => {
-                        (keys::NET_ANNOUNCE_SAMPLED_OUT, "sampled_out", false)
+                    AnnounceOutcome::Stored => {
+                        (keys::NET_ANNOUNCE_STORED, VerifyOutcome::Stored, true)
                     }
-                    AnnounceOutcome::Unsafe => (keys::NET_ANNOUNCE_UNSAFE, "unsafe", false),
+                    AnnounceOutcome::Dropped => (
+                        keys::NET_ANNOUNCE_SAMPLED_OUT,
+                        VerifyOutcome::SampledOut,
+                        false,
+                    ),
+                    AnnounceOutcome::Unsafe => {
+                        (keys::NET_ANNOUNCE_UNSAFE, VerifyOutcome::Unsafe, false)
+                    }
                 };
                 registry.incr(key);
                 // An unsafe announce never reached the reservoir.
@@ -500,16 +505,17 @@ impl FrameVerifier for DapShard {
                 let (key, outcome) = match outcome {
                     RevealOutcome::Authenticated { .. } => {
                         live.count_authenticated();
-                        (keys::NET_REVEAL_AUTH, "auth")
+                        (keys::NET_REVEAL_AUTH, VerifyOutcome::Auth)
                     }
                     RevealOutcome::WeakRejected { .. } => {
-                        (keys::NET_REVEAL_WEAK_REJECTED, "weak_rejected")
+                        (keys::NET_REVEAL_WEAK_REJECTED, VerifyOutcome::WeakRejected)
                     }
-                    RevealOutcome::StrongRejected { .. } => {
-                        (keys::NET_REVEAL_STRONG_REJECTED, "strong_rejected")
-                    }
+                    RevealOutcome::StrongRejected { .. } => (
+                        keys::NET_REVEAL_STRONG_REJECTED,
+                        VerifyOutcome::StrongRejected,
+                    ),
                     RevealOutcome::NoCandidate { .. } => {
-                        (keys::NET_REVEAL_NO_CANDIDATE, "no_candidate")
+                        (keys::NET_REVEAL_NO_CANDIDATE, VerifyOutcome::NoCandidate)
                     }
                 };
                 registry.incr(key);
@@ -612,15 +618,21 @@ impl FrameVerifier for TeslaPpShard {
             None => self.receiver.on_message(&message, at),
         };
         let (key, outcome) = match outcome {
-            TeslaPpOutcome::AnnouncementStored { .. } => (keys::NET_ANNOUNCE_STORED, "stored"),
-            TeslaPpOutcome::AnnouncementUnsafe { .. } => (keys::NET_ANNOUNCE_UNSAFE, "unsafe"),
+            TeslaPpOutcome::AnnouncementStored { .. } => {
+                (keys::NET_ANNOUNCE_STORED, VerifyOutcome::Stored)
+            }
+            TeslaPpOutcome::AnnouncementUnsafe { .. } => {
+                (keys::NET_ANNOUNCE_UNSAFE, VerifyOutcome::Unsafe)
+            }
             TeslaPpOutcome::Authenticated { .. } => {
                 live.count_authenticated();
-                (keys::NET_REVEAL_AUTH, "auth")
+                (keys::NET_REVEAL_AUTH, VerifyOutcome::Auth)
             }
-            TeslaPpOutcome::KeyRejected { .. } => (keys::NET_REVEAL_WEAK_REJECTED, "weak_rejected"),
+            TeslaPpOutcome::KeyRejected { .. } => {
+                (keys::NET_REVEAL_WEAK_REJECTED, VerifyOutcome::WeakRejected)
+            }
             TeslaPpOutcome::NoMatchingAnnouncement { .. } => {
-                (keys::NET_REVEAL_NO_MATCH, "no_match")
+                (keys::NET_REVEAL_NO_MATCH, VerifyOutcome::NoMatch)
             }
         };
         registry.incr(key);
@@ -706,7 +718,7 @@ impl PoolHandle {
     /// Returns `false` when the shard queue shed it (`DropCount` and
     /// full, or the pool is shutting down).
     pub fn ingest(&self, bytes: &[u8], at: SimTime) -> bool {
-        let ingress_watch = self.span.then(|| self.time.stopwatch());
+        let ingress_watch = self.span.then(|| self.time.now_ns());
         // Unroutable garbage still goes to a worker (deterministically,
         // by length) so its decode failure is counted like any other.
         let key = match self.route {
@@ -717,8 +729,12 @@ impl PoolHandle {
         let shard = self.shard_of(key);
         let queue = &self.queues[shard];
         let copied = bytes.to_vec();
-        let (ingress_ns, enqueued_ns) = match &ingress_watch {
-            Some(watch) => (watch.elapsed_ns(&self.time), self.time.now_ns()),
+        // One clock read closes the ingress stage and stamps the enqueue.
+        let (ingress_ns, enqueued_ns) = match ingress_watch {
+            Some(start_ns) => {
+                let now_ns = self.time.now_ns();
+                (now_ns.saturating_sub(start_ns), now_ns)
+            }
             None => (0, 0),
         };
         let frame = Ingress::Frame(IngressFrame {
@@ -1469,7 +1485,8 @@ fn process_datagram<V: FrameVerifier>(
             );
         }
         if let Some(ordinal) = span_ord {
-            let mut timer = SpanTimer::start(&obs.time);
+            // Every stage is injected, so the timer needs no clock anchor.
+            let mut timer = SpanTimer::default();
             timer.set(SpanStage::Ingress, frame.ingress_ns);
             timer.set(SpanStage::QueueWait, frame.queue_ns);
             timer.set(SpanStage::Decode, decode_ns);

@@ -165,3 +165,38 @@ fn zero_tick_is_refused_on_every_udp_role() {
 fn zero_flood_rate_is_refused() {
     assert_udp_zero_refused("flooder", "--rate");
 }
+
+/// `--intervals` past the chain-memory ceiling is refused before any
+/// chain is derived: with the check missing, these lines would try to
+/// hold 2^64 (or a ceiling's worth plus one) keys in memory.
+#[test]
+fn intervals_past_the_chain_ceiling_are_refused_on_every_mode() {
+    let max = u64::MAX.to_string();
+    let past = (dap_net::opts::MAX_INTERVALS + 1).to_string();
+    let udp = ["--target", "127.0.0.1:9", "--bind", "127.0.0.1:0"];
+    for value in [max.as_str(), past.as_str()] {
+        for mode in [&["--loopback"][..], &["--fleet", "--senders", "1"][..]] {
+            let args: Vec<&str> = mode.iter().copied().chain(["--intervals", value]).collect();
+            assert_refused(DAPD, &args, "chain-memory ceiling");
+        }
+        for role in ["sender", "receiver", "flooder"] {
+            let args: Vec<&str> = ["--role", role]
+                .into_iter()
+                .chain(udp)
+                .chain(["--intervals", value])
+                .collect();
+            assert_refused(DAPD, &args, "chain-memory ceiling");
+        }
+    }
+    // A fleet's senders share the budget: the single-chain maximum is
+    // already too long for two senders.
+    let at_max = dap_net::opts::MAX_INTERVALS.to_string();
+    assert_refused(
+        DAPD,
+        &["--fleet", "--senders", "2", "--intervals", &at_max],
+        "chain-memory ceiling",
+    );
+    // The ceiling is documented where the operator looks.
+    let help = run(DAPD, &["--help"]);
+    assert!(String::from_utf8_lossy(&help.stdout).contains(&at_max));
+}

@@ -19,6 +19,7 @@ const SLOTS: usize = MAJORS * SUBS;
 /// The slot a value lands in. Values below 16 get exact slots; a value
 /// with bit length `n ≥ 5` lands in major `n − 4`, sub-bucket = its top
 /// four bits after the leading one.
+#[inline]
 fn slot_of(v: u64) -> usize {
     if v < 16 {
         return v as usize;
@@ -76,7 +77,9 @@ impl Histogram {
     }
 
     /// Records one sample. Counts and the running sum saturate at
-    /// `u64::MAX` rather than wrapping.
+    /// `u64::MAX` rather than wrapping. Inlined across crates: the
+    /// flight recorder records up to seven samples per frame.
+    #[inline]
     pub fn record(&mut self, v: u64) {
         let slot = slot_of(v);
         self.counts[slot] = self.counts[slot].saturating_add(1);

@@ -58,5 +58,5 @@ pub use span::{span_id, SpanStage, SpanTimer};
 pub use time::{ManualTime, Stopwatch, TimeSource};
 pub use trace::{
     header_line, is_canonical, render_jsonl, sort_records, JsonlSink, NullSink, RingSink,
-    TraceEmitter, TraceEvent, TraceRecord, TraceSink,
+    TraceEmitter, TraceEvent, TraceRecord, TraceSink, VerifyOutcome,
 };

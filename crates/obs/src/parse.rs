@@ -13,7 +13,7 @@
 
 use std::fmt;
 
-use crate::trace::{TraceEvent, TraceRecord};
+use crate::trace::{TraceEvent, TraceRecord, VerifyOutcome};
 
 /// A parse failure, pointing at the 1-indexed offending line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -261,23 +261,10 @@ fn parse_record(fields: &[(String, Value)]) -> Result<TraceRecord, String> {
     })
 }
 
-/// Maps a verify-outcome label back to the canonical `&'static str` the
-/// writer used (the pool's closed outcome vocabulary).
-fn intern_outcome(s: &str) -> Result<&'static str, String> {
-    const OUTCOMES: [&str; 8] = [
-        "stored",
-        "sampled_out",
-        "unsafe",
-        "auth",
-        "weak_rejected",
-        "strong_rejected",
-        "no_candidate",
-        "no_match",
-    ];
-    OUTCOMES
-        .into_iter()
-        .find(|o| *o == s)
-        .ok_or_else(|| format!("unknown outcome label {s:?}"))
+/// Maps a verify-outcome label back to its [`VerifyOutcome`] (the
+/// pool's closed outcome vocabulary).
+fn intern_outcome(s: &str) -> Result<VerifyOutcome, String> {
+    VerifyOutcome::from_label(s).ok_or_else(|| format!("unknown outcome label {s:?}"))
 }
 
 fn intern_fault_kind(s: &str) -> Result<&'static str, String> {
@@ -477,7 +464,7 @@ mod tests {
             TraceEvent::VerifyStart { interval: 2 },
             TraceEvent::VerifyEnd {
                 interval: 2,
-                outcome: "strong_rejected",
+                outcome: VerifyOutcome::StrongRejected,
                 elapsed_ns: 5,
             },
             TraceEvent::BufferDecision {
@@ -514,7 +501,7 @@ mod tests {
             TraceEvent::FrameSpan {
                 span: (3 << 8) | 1,
                 interval: 9,
-                outcome: "auth",
+                outcome: VerifyOutcome::Auth,
                 ingress_ns: 1,
                 queue_ns: 2,
                 decode_ns: 3,
@@ -572,7 +559,7 @@ mod tests {
             at: 7,
             event: TraceEvent::VerifyEnd {
                 interval: 1,
-                outcome: "auth",
+                outcome: VerifyOutcome::Auth,
                 elapsed_ns: 0,
             },
         };

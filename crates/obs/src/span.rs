@@ -17,7 +17,7 @@
 //! below testable and two same-seed runs byte-identical.
 
 use crate::time::TimeSource;
-use crate::trace::TraceEvent;
+use crate::trace::{TraceEvent, VerifyOutcome};
 
 /// The pipeline stages a frame crosses, in causal order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,6 +67,7 @@ impl SpanStage {
         }
     }
 
+    #[inline]
     fn index(self) -> usize {
         match self {
             SpanStage::Ingress => 0,
@@ -86,12 +87,16 @@ impl SpanStage {
 /// the shard, so `(source, span)` is globally unique and two same-seed
 /// runs agree on every id.
 #[must_use]
+#[inline]
 pub fn span_id(datagram_ordinal: u64, frame_idx: usize) -> u64 {
     (datagram_ordinal << 8) | (frame_idx as u64 & 0xff)
 }
 
-/// Per-frame stage accumulator; see the module docs.
-#[derive(Debug, Clone, Copy)]
+/// Per-frame stage accumulator; see the module docs. The default timer
+/// has no clock anchor: it suits spans whose stages are all injected
+/// with [`SpanTimer::set`], and skips the clock read
+/// [`SpanTimer::start`] pays.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SpanTimer {
     last_ns: u64,
     acc: [u64; SpanStage::COUNT],
@@ -117,12 +122,14 @@ impl SpanTimer {
     }
 
     /// Injects a duration measured elsewhere (overwrites the stage).
+    #[inline]
     pub fn set(&mut self, stage: SpanStage, ns: u64) {
         self.acc[stage.index()] = ns;
     }
 
     /// The accumulated duration of `stage`.
     #[must_use]
+    #[inline]
     pub fn get(&self, stage: SpanStage) -> u64 {
         self.acc[stage.index()]
     }
@@ -136,7 +143,8 @@ impl SpanTimer {
     /// The finished [`TraceEvent::FrameSpan`] for this frame. Stage
     /// readings saturate into the event's `u32` fields.
     #[must_use]
-    pub fn event(&self, span: u64, interval: u64, outcome: &'static str) -> TraceEvent {
+    #[inline]
+    pub fn event(&self, span: u64, interval: u64, outcome: VerifyOutcome) -> TraceEvent {
         let ns = |stage| u32::try_from(self.get(stage)).unwrap_or(u32::MAX);
         TraceEvent::FrameSpan {
             span,
@@ -253,13 +261,13 @@ mod tests {
         timer.set(SpanStage::Verify, 5);
         timer.set(SpanStage::Buffer, 6);
         timer.set(SpanStage::RevealAuth, 7);
-        let event = timer.event(span_id(9, 0), 17, "auth");
+        let event = timer.event(span_id(9, 0), 17, VerifyOutcome::Auth);
         assert_eq!(
             event,
             TraceEvent::FrameSpan {
                 span: 9 << 8,
                 interval: 17,
-                outcome: "auth",
+                outcome: VerifyOutcome::Auth,
                 ingress_ns: 1,
                 queue_ns: 2,
                 decode_ns: 3,

@@ -30,6 +30,7 @@ impl ManualTime {
 
     /// The current reading.
     #[must_use]
+    #[inline]
     pub fn now_ns(&self) -> u64 {
         self.ns.load(Ordering::SeqCst)
     }
@@ -81,6 +82,7 @@ impl TimeSource {
 
     /// Nanoseconds on this source's clock.
     #[must_use]
+    #[inline]
     pub fn now_ns(&self) -> u64 {
         match self {
             Self::Wall { epoch } => u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX),
@@ -92,12 +94,14 @@ impl TimeSource {
     /// observables (queue occupancy sampled by a worker) must only be
     /// recorded when this is true, or two same-seed runs diverge.
     #[must_use]
+    #[inline]
     pub fn is_wall(&self) -> bool {
         matches!(self, Self::Wall { .. })
     }
 
     /// Starts a stopwatch on this source.
     #[must_use]
+    #[inline]
     pub fn stopwatch(&self) -> Stopwatch {
         Stopwatch {
             start_ns: self.now_ns(),
@@ -115,6 +119,7 @@ impl Stopwatch {
     /// Nanoseconds since the stopwatch started, on `source`'s clock
     /// (saturating at zero if the source went backwards).
     #[must_use]
+    #[inline]
     pub fn elapsed_ns(&self, source: &TimeSource) -> u64 {
         source.now_ns().saturating_sub(self.start_ns)
     }

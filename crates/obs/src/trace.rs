@@ -21,8 +21,89 @@ use std::io::{self, Write};
 use crate::json::JsonObject;
 use crate::time::TimeSource;
 
+/// A decoded frame's verify outcome: the closed vocabulary of
+/// [`TraceEvent::VerifyEnd`] and [`TraceEvent::FrameSpan`]. A ring slot
+/// holds it as one byte; the JSONL line carries its label.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum VerifyOutcome {
+    /// An announce's μMAC entered its interval's reservoir.
+    Stored,
+    /// An announce lost the reservoir draw.
+    SampledOut,
+    /// An announce arrived after its key could have been disclosed.
+    Unsafe,
+    /// A reveal authenticated its message.
+    Auth,
+    /// A reveal's key failed the chain check.
+    WeakRejected,
+    /// A reveal's key verified but no buffered μMAC matched.
+    StrongRejected,
+    /// A reveal found no buffered μMAC for its interval.
+    NoCandidate,
+    /// A TESLA++ reveal matched no stored announcement.
+    NoMatch,
+    /// A tagged frame claimed a sender outside the fleet directory.
+    UnknownSender,
+}
+
+impl VerifyOutcome {
+    /// Every outcome, in declaration order.
+    pub const ALL: [VerifyOutcome; 9] = [
+        VerifyOutcome::Stored,
+        VerifyOutcome::SampledOut,
+        VerifyOutcome::Unsafe,
+        VerifyOutcome::Auth,
+        VerifyOutcome::WeakRejected,
+        VerifyOutcome::StrongRejected,
+        VerifyOutcome::NoCandidate,
+        VerifyOutcome::NoMatch,
+        VerifyOutcome::UnknownSender,
+    ];
+
+    /// The stable label the JSONL dialect carries (`"stored"`, `"auth"`, …).
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            VerifyOutcome::Stored => "stored",
+            VerifyOutcome::SampledOut => "sampled_out",
+            VerifyOutcome::Unsafe => "unsafe",
+            VerifyOutcome::Auth => "auth",
+            VerifyOutcome::WeakRejected => "weak_rejected",
+            VerifyOutcome::StrongRejected => "strong_rejected",
+            VerifyOutcome::NoCandidate => "no_candidate",
+            VerifyOutcome::NoMatch => "no_match",
+            VerifyOutcome::UnknownSender => "unknown_sender",
+        }
+    }
+
+    /// The outcome whose [`label`](Self::label) is `label`, if any.
+    #[must_use]
+    pub fn from_label(label: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|o| o.label() == label)
+    }
+}
+
+impl std::fmt::Display for VerifyOutcome {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.label())
+    }
+}
+
+/// Compares by label, so callers can match an outcome against its JSONL
+/// label (`outcome == "auth"`).
+impl PartialEq<&str> for VerifyOutcome {
+    fn eq(&self, other: &&str) -> bool {
+        self.label() == *other
+    }
+}
+
 /// One typed trace event. Fields are the data a replay-diff needs to
 /// explain a divergence, nothing more.
+///
+/// The enum is the ring slot of the flight recorder, so its largest
+/// variant ([`TraceEvent::FrameSpan`]) sets the per-record memory
+/// traffic: outcomes are one-byte [`VerifyOutcome`] codes and stage
+/// timings `u32`, which keeps a [`TraceRecord`] at 72 bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A frame arrived at a shard (payload length in bytes).
@@ -39,8 +120,8 @@ pub enum TraceEvent {
     VerifyEnd {
         /// The interval index the frame claims.
         interval: u64,
-        /// Outcome label (`"stored"`, `"auth"`, `"unsafe"`, …).
-        outcome: &'static str,
+        /// The verify outcome.
+        outcome: VerifyOutcome,
         /// Stopwatch reading (0 under manual time).
         elapsed_ns: u64,
     },
@@ -129,8 +210,8 @@ pub enum TraceEvent {
         span: u64,
         /// The interval index the frame claimed.
         interval: u64,
-        /// The frame's verify outcome label (same set as `VerifyEnd`).
-        outcome: &'static str,
+        /// The frame's verify outcome (same as its `VerifyEnd`).
+        outcome: VerifyOutcome,
         /// Reader-side routing + copy time before the shard queue.
         ingress_ns: u32,
         /// Enqueue → worker-pop wait.
@@ -216,7 +297,7 @@ impl TraceRecord {
                 elapsed_ns,
             } => base
                 .u64("interval", *interval)
-                .str("outcome", outcome)
+                .str("outcome", outcome.label())
                 .u64("elapsed_ns", *elapsed_ns),
             TraceEvent::BufferDecision {
                 interval,
@@ -275,7 +356,7 @@ impl TraceRecord {
             } => base
                 .u64("span", *span)
                 .u64("interval", *interval)
-                .str("outcome", outcome)
+                .str("outcome", outcome.label())
                 .u64("ingress_ns", u64::from(*ingress_ns))
                 .u64("queue_ns", u64::from(*queue_ns))
                 .u64("decode_ns", u64::from(*decode_ns))
@@ -386,20 +467,24 @@ impl RingSink {
 }
 
 impl TraceSink for RingSink {
+    // Inlined across crates: the pool's shards call this ~5 times per
+    // traced frame, and an out-of-line call (plus the 72-byte argument
+    // copy it forces) cost more than the ring write itself.
+    #[inline]
     fn record(&mut self, record: TraceRecord) {
-        if self.capacity == 0 {
-            self.shed = self.shed.saturating_add(1);
-            return;
-        }
         if self.records.len() < self.capacity {
             self.records.push(record);
-        } else {
-            self.records[self.head] = record;
+            return;
+        }
+        // Full (or capacity 0, where the store is empty and nothing is
+        // retained): the record sheds the oldest slot.
+        self.shed = self.shed.saturating_add(1);
+        if let Some(slot) = self.records.get_mut(self.head) {
+            *slot = record;
             self.head += 1;
             if self.head == self.capacity {
                 self.head = 0;
             }
-            self.shed = self.shed.saturating_add(1);
         }
     }
 }
@@ -570,7 +655,7 @@ mod tests {
             100,
             TraceEvent::VerifyEnd {
                 interval: 7,
-                outcome: "stored",
+                outcome: VerifyOutcome::Stored,
                 elapsed_ns: 0,
             },
         );
@@ -621,7 +706,7 @@ mod tests {
             TraceEvent::VerifyStart { interval: 2 },
             TraceEvent::VerifyEnd {
                 interval: 2,
-                outcome: "auth",
+                outcome: VerifyOutcome::Auth,
                 elapsed_ns: 5,
             },
             TraceEvent::BufferDecision {
@@ -656,7 +741,7 @@ mod tests {
             TraceEvent::FrameSpan {
                 span: (12 << 8) | 1,
                 interval: 2,
-                outcome: "auth",
+                outcome: VerifyOutcome::Auth,
                 ingress_ns: 1,
                 queue_ns: 2,
                 decode_ns: 3,
@@ -704,6 +789,23 @@ mod tests {
             header_line(0),
             "{\"trace\":\"dap-obs\",\"version\":2,\"clock_ns\":0}"
         );
+    }
+
+    #[test]
+    fn ring_slots_stay_compact() {
+        // The flight recorder writes ~5 of these per frame; growing the
+        // slot is a recorder-overhead regression.
+        assert!(std::mem::size_of::<TraceRecord>() <= 72);
+    }
+
+    #[test]
+    fn outcome_labels_round_trip() {
+        for outcome in VerifyOutcome::ALL {
+            assert_eq!(VerifyOutcome::from_label(outcome.label()), Some(outcome));
+            assert_eq!(outcome, outcome.label());
+            assert_eq!(outcome.to_string(), outcome.label());
+        }
+        assert_eq!(VerifyOutcome::from_label("hacked"), None);
     }
 
     #[test]
