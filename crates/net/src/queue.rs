@@ -18,6 +18,10 @@
 //!
 //! * every thread parked on a condvar is counted under the mutex, and a
 //!   push or pop signals only when the other side has someone parked;
+//! * a push signals a parked reader once: readers already signalled but
+//!   not yet running again are counted too, so a burst pushed while the
+//!   woken shard is still being scheduled costs one `FUTEX_WAKE`, not
+//!   one per item;
 //! * a pop wakes parked writers only once the queue has drained to its
 //!   low watermark, half its capacity (empty, for capacity 1), so a
 //!   blocked producer wakes once per half-queue of work, not per item.
@@ -63,8 +67,22 @@ struct State<T> {
     closed: bool,
     /// Threads inside `readable.wait*` right now.
     parked_readers: usize,
+    /// Of those, how many a push has already signalled; never more than
+    /// `parked_readers`. A reader leaving the wait, signalled or not,
+    /// retires one.
+    signalled_readers: usize,
     /// Threads inside `writable.wait` right now.
     parked_writers: usize,
+}
+
+impl<T> State<T> {
+    /// Books a reader out of `readable.wait*`. A spurious or timed-out
+    /// wake may retire another reader's signal; that only makes the next
+    /// push signal again, never skip a parked reader.
+    fn unpark_reader(&mut self) {
+        self.parked_readers -= 1;
+        self.signalled_readers = self.signalled_readers.saturating_sub(1);
+    }
 }
 
 /// A bounded multi-producer queue; see the module docs for the two push
@@ -94,6 +112,7 @@ impl<T> IngressQueue<T> {
                 items: VecDeque::with_capacity(capacity),
                 closed: false,
                 parked_readers: 0,
+                signalled_readers: 0,
                 parked_writers: 0,
             }),
             readable: Condvar::new(),
@@ -144,9 +163,12 @@ impl<T> IngressQueue<T> {
     }
 
     /// Releases the lock after a push, waking a reader only if one is
-    /// parked.
-    fn unlock_after_push(&self, state: MutexGuard<'_, State<T>>) {
-        let wake = state.parked_readers > 0;
+    /// parked and not already signalled.
+    fn unlock_after_push(&self, mut state: MutexGuard<'_, State<T>>) {
+        let wake = state.parked_readers > state.signalled_readers;
+        if wake {
+            state.signalled_readers += 1;
+        }
         drop(state);
         if wake {
             self.readable.notify_one();
@@ -178,7 +200,7 @@ impl<T> IngressQueue<T> {
             }
             state.parked_readers += 1;
             state = self.readable.wait(state).expect("queue mutex poisoned");
-            state.parked_readers -= 1;
+            state.unpark_reader();
         }
     }
 
@@ -206,7 +228,7 @@ impl<T> IngressQueue<T> {
                 .wait_timeout(state, remaining)
                 .expect("queue mutex poisoned");
             state = next;
-            state.parked_readers -= 1;
+            state.unpark_reader();
             if result.timed_out() && state.items.is_empty() && !state.closed {
                 return Pop::Idle;
             }
@@ -351,6 +373,32 @@ mod tests {
         q.try_push(5u8).unwrap();
         assert_eq!(consumer.join().unwrap(), Some(5));
         assert_eq!(q.parked(), (0, 0));
+    }
+
+    #[test]
+    fn every_parked_reader_is_signalled_for_an_item() {
+        // Signals are counted per parked reader, not as one flag: three
+        // items pushed at three parked readers wake all three, however
+        // the pushes interleave with their wake-ups.
+        let q = Arc::new(IngressQueue::new(4));
+        let consumers: Vec<_> = (0..3)
+            .map(|_| {
+                let q = Arc::clone(&q);
+                std::thread::spawn(move || q.pop())
+            })
+            .collect();
+        await_parked(&q, 3, 0);
+        for i in 0..3u8 {
+            q.try_push(i).unwrap();
+        }
+        let mut got: Vec<u8> = consumers
+            .into_iter()
+            .map(|c| c.join().unwrap().expect("an item, not close"))
+            .collect();
+        got.sort_unstable();
+        assert_eq!(got, [0, 1, 2]);
+        assert_eq!(q.parked(), (0, 0));
+        assert_eq!(q.state.lock().unwrap().signalled_readers, 0);
     }
 
     #[test]
